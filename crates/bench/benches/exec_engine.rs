@@ -1,37 +1,15 @@
-//! Unified exec core: serial vs parallel NMP candidate evaluation, the
-//! multi-task runtime on the serial vs thread-per-queue timeline, and
-//! the streaming scenario across execution modes (serial vs pipelined
-//! vs sharded vs layer-parallel).
+//! Exec core: serial vs parallel NMP candidate evaluation, and the
+//! multi-task runtime on the serial engine.
 //!
-//! Interesting ratios:
+//! Interesting ratio:
 //!
 //! * `nmp_eval/population_serial` vs `…_parallel`: on ≥4 cores the
 //!   fan-out should be >1.5× faster wall-clock (bitwise identical — the
-//!   pool only spreads pure fitness evaluations);
-//! * `exec_modes/streams_serial` vs `…_pipelined`: the pipelined
-//!   runtime overlaps E2SF slicing with dispatch (and runs per-task
-//!   frontends concurrently), so it should be at least as fast as the
-//!   serial driver on multi-task scenarios — with identical reports.
-//!   On a single-core host no overlap is physically possible and the
-//!   two track each other within noise (the sync-on-demand protocol
-//!   keeps thread overhead to a handful of round trips per run); every
-//!   additional core turns frontend time into overlap;
-//! * `exec_runtime/thread_per_queue_timeline`: tracks the per-job
-//!   reservation batching (`reserve_run`) — one channel round trip per
-//!   same-PE layer run instead of two per layer;
-//! * `exec_modes/streams_layer_parallel`: intra-task segment waves —
-//!   each job's data-independent same-PE layer runs reserve their
-//!   queues in one `reserve_runs` wave on the thread-per-queue
-//!   timeline, so cross-PE mappings overlap *within* one inference.
-//!   Needs ≥2 cores to show wall-clock wins, like the other modes.
+//!   pool only spreads pure fitness evaluations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
-use ev_datasets::mvsec::SequenceId;
-use ev_edge::dsfa::{CMode, DsfaConfig};
-use ev_edge::multipipe::{
-    run_multi_task_runtime, run_multi_task_streams, ExecMode, MultiTaskRuntimeConfig, StreamTask,
-};
+use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
 use ev_edge::nmp::baseline;
 use ev_edge::nmp::candidate::Candidate;
 use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
@@ -136,61 +114,6 @@ fn bench_runtime_timelines(c: &mut Criterion) {
         let config = MultiTaskRuntimeConfig::new(window);
         b.iter(|| run_multi_task_runtime(&p, &candidate, &periods, config).expect("runs"));
     });
-    group.bench_function("thread_per_queue_timeline", |b| {
-        let config = MultiTaskRuntimeConfig::new(window).with_parallel_runtime();
-        b.iter(|| run_multi_task_runtime(&p, &candidate, &periods, config).expect("runs"));
-    });
-    group.finish();
-}
-
-fn bench_exec_modes(c: &mut Criterion) {
-    let p = problem();
-    let candidate = baseline::rr_network(&p);
-    let streams = vec![
-        StreamTask {
-            sequence: SequenceId::IndoorFlying1.sequence(),
-            bins_per_interval: 8,
-            dsfa: DsfaConfig::default(),
-        },
-        StreamTask {
-            sequence: SequenceId::OutdoorDay1.sequence(),
-            bins_per_interval: 6,
-            dsfa: DsfaConfig {
-                cmode: CMode::CBatch,
-                mb_size: 1,
-                ..DsfaConfig::default()
-            },
-        },
-        StreamTask {
-            sequence: SequenceId::DenseTown10.sequence(),
-            bins_per_interval: 8,
-            dsfa: DsfaConfig::default(),
-        },
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(120));
-    let base = MultiTaskRuntimeConfig::new(window);
-    let mut group = c.benchmark_group("exec_modes");
-    group.sample_size(10);
-
-    let modes = [
-        ("streams_serial", ExecMode::Serial),
-        (
-            "streams_pipelined",
-            ExecMode::Pipelined {
-                channel_capacity: ExecMode::DEFAULT_CHANNEL_CAPACITY,
-            },
-        ),
-        ("streams_sharded", ExecMode::Sharded { shards: 0 }),
-        ("streams_layer_parallel", ExecMode::LayerParallel),
-        ("streams_optimizing", ExecMode::Optimizing),
-    ];
-    for (label, mode) in modes {
-        let mut config = base;
-        config.mode = mode;
-        group.bench_function(label, |b| {
-            b.iter(|| run_multi_task_streams(&p, &candidate, &streams, config).expect("runs"));
-        });
-    }
     group.finish();
 }
 
@@ -198,7 +121,6 @@ criterion_group!(
     benches,
     bench_candidate_evaluation,
     bench_search,
-    bench_runtime_timelines,
-    bench_exec_modes
+    bench_runtime_timelines
 );
 criterion_main!(benches);

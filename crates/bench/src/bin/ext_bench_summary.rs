@@ -11,11 +11,7 @@
 //!
 //! * `--full` — full measurement budget instead of the default quick
 //!   mode (quick is the default here, unlike the figure binaries).
-//! * `--exec-modes` — run only the `exec_modes` criterion group of the
-//!   `exec_engine` bench (the serial-vs-optimizing schedule comparison)
-//!   and emit every benchmark's median to `BENCH_exec_modes.json`.
-//! * `--json <path>` — artifact path (default `BENCH_hotpath.json`, or
-//!   `BENCH_exec_modes.json` with `--exec-modes`).
+//! * `--json <path>` — artifact path (default `BENCH_hotpath.json`).
 
 use ev_bench::report::{
     parse_bench_records, summarize_groups, write_json, BenchRecord, CommonArgs, TextTable,
@@ -33,42 +29,20 @@ struct HotPathSummary {
     groups: Vec<ev_bench::report::GroupSummary>,
 }
 
-/// One `exec_modes` benchmark's median, keyed by the mode label
-/// (`exec_modes/streams_serial`, `exec_modes/streams_optimizing`, ...).
-#[derive(Debug, Serialize)]
-struct ModeMedian {
-    name: String,
-    median_us: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct ExecModesSummary {
-    quick: bool,
-    modes: Vec<ModeMedian>,
-}
-
 /// Runs one bench target as a subprocess, appending its records to
-/// `raw_path` through the `CRITERION_JSON` channel. `filter` restricts
-/// the run to benchmarks whose names contain it.
+/// `raw_path` through the `CRITERION_JSON` channel.
 fn run_bench(
     cargo: &str,
     bench: &str,
-    filter: Option<&str>,
     quick: bool,
     raw_path: &std::path::Path,
 ) -> Result<(), Box<dyn std::error::Error>> {
     eprintln!(
-        "running `{bench}` benchmarks{}{}",
-        filter
-            .map(|f| format!(" (filter `{f}`)"))
-            .unwrap_or_default(),
+        "running `{bench}` benchmarks{}",
         if quick { " (quick)" } else { "" }
     );
     let mut cmd = Command::new(cargo);
     cmd.args(["bench", "-p", "ev-bench", "--bench", bench, "--"]);
-    if let Some(filter) = filter {
-        cmd.arg(filter);
-    }
     if quick {
         cmd.arg("--quick");
     }
@@ -94,49 +68,15 @@ fn collect_records(
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = CommonArgs::parse();
-    args.reject_unknown(&[], &["--full", "--exec-modes"])?;
+    args.reject_unknown(&[], &["--full"])?;
     let quick = !args.has_flag("--full");
-    let exec_modes = args.has_flag("--exec-modes");
 
     let raw_path = std::env::temp_dir().join(format!("bench-hotpath-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&raw_path);
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
 
-    if exec_modes {
-        run_bench(&cargo, "exec_engine", Some("exec_modes"), quick, &raw_path)?;
-        let records = collect_records(&raw_path)?;
-        let modes: Vec<ModeMedian> = records
-            .iter()
-            .filter(|r| r.group() == "exec_modes")
-            .map(|r| ModeMedian {
-                name: r.name.clone(),
-                median_us: r.median_ns as f64 / 1_000.0,
-            })
-            .collect();
-        if modes.is_empty() {
-            return Err("the exec_modes group produced no benchmark records".into());
-        }
-
-        println!();
-        println!("Execution-mode medians (streaming scenario):");
-        println!();
-        let mut table = TextTable::new(["benchmark", "median"]);
-        for mode in &modes {
-            table.row([mode.name.clone(), format!("{:.1} µs", mode.median_us)]);
-        }
-        print!("{}", table.render());
-
-        let out = args
-            .json
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("BENCH_exec_modes.json"));
-        write_json(&out, &ExecModesSummary { quick, modes })?;
-        eprintln!("wrote {}", out.display());
-        return Ok(());
-    }
-
     for group in HOT_GROUPS {
-        run_bench(&cargo, group, None, quick, &raw_path)?;
+        run_bench(&cargo, group, quick, &raw_path)?;
     }
     let records = collect_records(&raw_path)?;
     let groups = summarize_groups(&records);

@@ -2,7 +2,7 @@
 //!
 //! Every paper figure/table claim in this reproduction is pinned by a
 //! *spec* — a JSON file under `specs/` declaring a scenario (binary,
-//! arguments, execution mode) plus the assertions its report must
+//! arguments) plus the assertions its report must
 //! satisfy — rather than by hand-written test code. The pieces:
 //!
 //! * [`spec`] — the [`ScenarioSpec`]/[`Assertion`] schema, parsed

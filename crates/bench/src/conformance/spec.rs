@@ -3,7 +3,7 @@
 //! A spec is one JSON file under `specs/` declaring a scenario — which
 //! experiment binary to run, with which arguments — plus the
 //! expectations its report must satisfy. Adding a scenario (a new
-//! workload, execution mode or platform preset) is a *data* change: no
+//! workload, flag or platform preset) is a *data* change: no
 //! new test code, just a new spec file.
 //!
 //! ```json
@@ -11,7 +11,6 @@
 //!   "name": "fig8-serial",
 //!   "figure": "fig8",
 //!   "bin": "fig8_single_task",
-//!   "args": ["--mode", "serial"],
 //!   "artifact": true,
 //!   "assertions": [
 //!     { "StdoutContains": "Figure 8" },
@@ -47,9 +46,9 @@ pub enum Assertion {
     /// `UPDATE_GOLDEN=1` regenerates the snapshot from the artifact.
     MatchesGolden(String),
     /// The JSON artifact must equal the golden snapshot byte for byte —
-    /// the cross-mode identity constraint (an execution mode is a
-    /// wall-clock choice, never a result choice). Never regenerated:
-    /// the referenced snapshot is owned by the reference-mode spec.
+    /// the cross-run identity constraint (a wall-clock knob such as the
+    /// worker count never changes a result). Never regenerated: the
+    /// referenced snapshot is owned by the reference spec.
     BytesEqualGolden(String),
     /// The float at the path must equal the expected value *bitwise*.
     FieldBits(String, f64),

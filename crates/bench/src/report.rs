@@ -123,70 +123,6 @@ impl CommonArgs {
             .map(String::as_str)
     }
 
-    /// Parses the `--mode <name>` flag into an
-    /// [`ev_edge::multipipe::ExecMode`]: `serial`, `thread-per-queue`,
-    /// `pipelined` (optionally `pipelined:<capacity>`), `sharded`
-    /// (optionally `sharded:<shards>`), `layer-parallel`, or
-    /// `optimizing`. Returns `Ok(None)` when the flag is absent —
-    /// absence means the serial reference machinery (which every mode
-    /// except the opt-in `optimizing` reproduces bitwise).
-    ///
-    /// # Errors
-    ///
-    /// Names the unknown mode or a missing/malformed value.
-    pub fn exec_mode(&self) -> Result<Option<ev_edge::multipipe::ExecMode>, String> {
-        use ev_edge::multipipe::ExecMode;
-        let Some(value) = self.flag_value("--mode") else {
-            if self.has_flag("--mode") {
-                return Err(
-                    "--mode needs a value: serial | thread-per-queue | pipelined[:capacity] \
-                     | sharded[:shards] | layer-parallel | optimizing"
-                        .to_string(),
-                );
-            }
-            return Ok(None);
-        };
-        let (name, param) = match value.split_once(':') {
-            Some((name, param)) => (name, Some(param)),
-            None => (value, None),
-        };
-        let parse = |param: Option<&str>, default: usize| -> Result<usize, String> {
-            match param {
-                None => Ok(default),
-                Some(p) => p
-                    .parse()
-                    .map_err(|_| format!("--mode {name}: bad parameter `{p}`")),
-            }
-        };
-        let mode = match name {
-            "serial" => ExecMode::Serial,
-            "thread-per-queue" => ExecMode::ThreadPerQueue,
-            "pipelined" => ExecMode::Pipelined {
-                channel_capacity: parse(param, ExecMode::DEFAULT_CHANNEL_CAPACITY)?,
-            },
-            "sharded" => ExecMode::Sharded {
-                shards: parse(param, 0)?,
-            },
-            "layer-parallel" => ExecMode::LayerParallel,
-            "optimizing" => ExecMode::Optimizing,
-            other => {
-                return Err(format!(
-                    "unknown execution mode `{other}` (serial | thread-per-queue | \
-                     pipelined[:capacity] | sharded[:shards] | layer-parallel | optimizing)"
-                ));
-            }
-        };
-        if param.is_some()
-            && matches!(
-                name,
-                "serial" | "thread-per-queue" | "layer-parallel" | "optimizing"
-            )
-        {
-            return Err(format!("--mode {name} takes no parameter"));
-        }
-        Ok(Some(mode))
-    }
-
     /// Rejects leftover arguments a binary does not understand:
     /// everything in `rest` must be one of `value_flags` (which consume
     /// the following argument) or `bare_flags`. A behavior-changing
@@ -312,48 +248,6 @@ mod tests {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.row(["only"]);
         assert!(t.render().contains("only"));
-    }
-
-    #[test]
-    fn exec_mode_flag_parses_every_mode() {
-        use ev_edge::multipipe::ExecMode;
-        let parse = |v: &str| {
-            CommonArgs::parse_from(["--mode", v].into_iter().map(String::from)).exec_mode()
-        };
-        assert_eq!(parse("serial").unwrap(), Some(ExecMode::Serial));
-        assert_eq!(
-            parse("thread-per-queue").unwrap(),
-            Some(ExecMode::ThreadPerQueue)
-        );
-        assert_eq!(
-            parse("pipelined").unwrap(),
-            Some(ExecMode::Pipelined {
-                channel_capacity: ExecMode::DEFAULT_CHANNEL_CAPACITY
-            })
-        );
-        assert_eq!(
-            parse("pipelined:3").unwrap(),
-            Some(ExecMode::Pipelined {
-                channel_capacity: 3
-            })
-        );
-        assert_eq!(
-            parse("sharded:2").unwrap(),
-            Some(ExecMode::Sharded { shards: 2 })
-        );
-        assert_eq!(
-            parse("layer-parallel").unwrap(),
-            Some(ExecMode::LayerParallel)
-        );
-        assert_eq!(parse("optimizing").unwrap(), Some(ExecMode::Optimizing));
-        assert!(parse("warp-speed").is_err());
-        assert!(parse("serial:9").is_err());
-        assert!(parse("optimizing:2").is_err());
-        assert!(parse("pipelined:x").is_err());
-        let absent = CommonArgs::parse_from(["--quick".to_string()]);
-        assert_eq!(absent.exec_mode().unwrap(), None);
-        let missing = CommonArgs::parse_from(["--mode".to_string()]);
-        assert!(missing.exec_mode().is_err());
     }
 
     #[test]

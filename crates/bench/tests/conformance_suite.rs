@@ -58,7 +58,7 @@ fn options(sandbox: &str) -> RunnerOptions {
 }
 
 /// The whole shipped suite passes at the quick budget — every figure
-/// and table claim, every exec-mode byte-identity constraint, and the
+/// and table claim, every cross-run byte-identity constraint, and the
 /// negative (must-fail) scenarios.
 #[test]
 fn shipped_specs_all_pass_quick() {

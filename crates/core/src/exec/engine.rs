@@ -10,8 +10,8 @@
 //!   oldest-drop rule (via [`InferenceQueue`]);
 //! * a greedy **service loop** — a task starts its next inference when
 //!   its previous one finished and an input is pending;
-//! * dispatch through a pluggable [`JobModel`] onto any
-//!   [`ReservationTimeline`] (serial or thread-per-queue parallel);
+//! * dispatch through a pluggable [`JobModel`] onto the per-queue
+//!   [`DeviceTimeline`];
 //! * **latency / makespan / energy / utilization** accounting, including
 //!   the platform's always-on static power over the makespan.
 
@@ -20,7 +20,7 @@ use crate::queue::InferenceQueue;
 use crate::EvEdgeError;
 use ev_core::{TimeDelta, Timestamp};
 use ev_platform::energy::Energy;
-use ev_platform::ReservationTimeline;
+use ev_platform::timeline::DeviceTimeline;
 
 /// Runtime statistics of one task.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,101 +77,13 @@ impl EngineReport {
     }
 }
 
-/// The task-facing surface of an execution engine: what runtime drivers
-/// (periodic arrivals, streaming frontends, the pipelined stage loop)
-/// need in order to deliver inputs and advance simulated time.
-///
-/// Implemented by [`ExecEngine`] itself and by the task-partitioned
-/// [`crate::exec::sharded::ShardedEngine`], so every driver in
-/// [`crate::multipipe`] is written once and runs over either.
-pub trait TaskEngine {
-    /// Number of tasks the engine serves.
-    fn task_count(&self) -> usize;
-
-    /// Records one frontend-level input arrival for `task` without
-    /// enqueuing anything.
-    fn note_arrival(&mut self, task: usize);
-
-    /// Enqueues a job on `task`'s bounded queue without counting an
-    /// arrival (overload discards the oldest pending input, §4.2).
-    fn enqueue(&mut self, task: usize, job: JobInput);
-
-    /// Delivers an input to `task`: counts the arrival and enqueues it.
-    fn submit(&mut self, task: usize, job: JobInput) {
-        self.note_arrival(task);
-        self.enqueue(task, job);
-    }
-
-    /// Whether `task` has no inference in flight at `time` (DSFA's
-    /// hardware-availability signal, paper §4.2).
-    fn task_idle_at(&self, task: usize, time: Timestamp) -> bool {
-        self.task_free_at(task) <= time
-    }
-
-    /// When `task`'s in-flight inference finishes.
-    fn task_free_at(&self, task: usize) -> Timestamp;
-
-    /// Whether `task` still holds queued inputs it has not dispatched.
-    ///
-    /// Engines that cannot see their queues conservatively report
-    /// `true`: a speculative consumer (the pipelined stage's local
-    /// early-flush proof) may only treat a task's free time as frozen
-    /// when the engine *proves* the backlog empty — `false` means "the
-    /// free time cannot advance until new work is sent".
-    fn task_backlog(&self, _task: usize) -> bool {
-        true
-    }
-
-    /// Every task's free time, in task order (the state vector the
-    /// pipelined frontend's lockstep feedback channel carries).
-    fn task_free_times(&self) -> Vec<Timestamp> {
-        (0..self.task_count())
-            .map(|t| self.task_free_at(t))
-            .collect()
-    }
-
-    /// Services every task that can make progress at `now`, in task
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn service_all(&mut self, now: Timestamp, model: &mut dyn JobModel) -> Result<(), EvEdgeError>;
-
-    /// Runs everything still queued for `task`, regardless of time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn drain(&mut self, task: usize, model: &mut dyn JobModel) -> Result<(), EvEdgeError>;
-
-    /// Runs everything still queued, task by task.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dispatch errors.
-    fn drain_all(&mut self, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        for task in 0..self.task_count() {
-            self.drain(task, model)?;
-        }
-        Ok(())
-    }
-
-    /// Closes the run: charges `static_power_w` over the makespan and
-    /// produces the unified report.
-    fn finish(self, static_power_w: f64) -> EngineReport
-    where
-        Self: Sized;
-}
-
 /// Read access to an engine's device-load counters: the signal an
 /// admission controller samples between arrivals (the `ev_serve`
 /// front door trips its watermark on these).
 ///
-/// Deliberately narrower than [`ReservationTimeline`]: a load probe
-/// answers "how much device time is booked and how many jobs have
-/// landed", nothing else, so streaming frontends can stay generic over
-/// engines whose timelines they never see.
+/// Deliberately narrower than the engine: a load probe answers "how
+/// much device time is booked and how many jobs have landed", nothing
+/// else, so an admission policy can be tested against a fake probe.
 pub trait LoadProbe {
     /// Number of device (PE) queues behind the engine.
     fn device_queues(&self) -> usize;
@@ -179,8 +91,7 @@ pub trait LoadProbe {
     /// Busy time summed over every device queue.
     fn device_busy_total(&self) -> TimeDelta;
 
-    /// Jobs completed summed over every device queue (zero where the
-    /// timeline does not track completion counts).
+    /// Jobs completed summed over every device queue.
     fn device_completed_total(&self) -> u64;
 
     /// Mean per-queue utilization over `elapsed` simulated time:
@@ -197,7 +108,7 @@ pub trait LoadProbe {
     }
 }
 
-impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
+impl LoadProbe for ExecEngine {
     fn device_queues(&self) -> usize {
         self.timeline.queues()
     }
@@ -207,17 +118,12 @@ impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
     }
 
     fn device_completed_total(&self) -> u64 {
-        (0..self.timeline.queues())
-            .map(|q| self.timeline.completed_jobs(q))
-            .sum()
+        self.timeline.total_completed()
     }
 }
 
-/// The unified streaming execution engine.
-///
-/// Generic over the timeline so the identical dispatch loop drives the
-/// serial [`ev_platform::DeviceTimeline`] or the thread-per-queue
-/// [`crate::exec::parallel::ParallelTimeline`].
+/// The streaming execution engine: one dispatch loop over one
+/// [`DeviceTimeline`], in simulated time on the caller's thread.
 ///
 /// # Examples
 ///
@@ -246,9 +152,9 @@ impl<T: ReservationTimeline> LoadProbe for ExecEngine<T> {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct ExecEngine<T: ReservationTimeline> {
+pub struct ExecEngine {
     start: Timestamp,
-    timeline: T,
+    timeline: DeviceTimeline,
     queues: Vec<InferenceQueue<JobInput>>,
     task_free: Vec<Timestamp>,
     arrivals: Vec<u64>,
@@ -261,7 +167,7 @@ pub struct ExecEngine<T: ReservationTimeline> {
     record_jobs: bool,
 }
 
-impl<T: ReservationTimeline> ExecEngine<T> {
+impl ExecEngine {
     /// An engine over `timeline` for `tasks` tasks with per-task bounded
     /// queues of `queue_capacity` pending inputs.
     ///
@@ -271,7 +177,7 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     /// `queue_capacity` is zero.
     pub fn new(
         start: Timestamp,
-        timeline: T,
+        timeline: DeviceTimeline,
         tasks: usize,
         queue_capacity: usize,
     ) -> Result<Self, EvEdgeError> {
@@ -299,11 +205,6 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     pub fn with_job_records(mut self) -> Self {
         self.record_jobs = true;
         self
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.queues.len()
     }
 
     /// Whether `task` has no inference in flight at `time` — the
@@ -351,16 +252,9 @@ impl<T: ReservationTimeline> ExecEngine<T> {
                 break;
             };
             let ready = job.ready.max(self.task_free[task]);
-            // `end` is the job's real completion (latency/makespan);
-            // `gate` is when the task counts as busy until. For every
-            // order-preserving model they coincide. An optimizing model
-            // returns its serial-equivalent gate so an early finish
-            // never changes which jobs are popped or dropped (see
-            // `JobModel::dispatch_gated`).
-            let (end, gate, energy) =
-                model.dispatch_gated(task, &job, ready, &mut self.timeline)?;
+            let (end, energy) = model.dispatch(task, &job, ready, &mut self.timeline)?;
             self.energy += energy;
-            self.task_free[task] = gate;
+            self.task_free[task] = end;
             self.makespan_end = self.makespan_end.max(end);
             self.completed[task] += 1;
             let latency = end - job.ready;
@@ -425,16 +319,6 @@ impl<T: ReservationTimeline> ExecEngine<T> {
         self.task_free[task]
     }
 
-    /// Whether `task` still holds queued inputs it has not dispatched.
-    pub fn task_backlog(&self, task: usize) -> bool {
-        !self.queues[task].is_empty()
-    }
-
-    /// The underlying timeline (read access for drivers).
-    pub fn timeline(&self) -> &T {
-        &self.timeline
-    }
-
     /// Completion time of the last dispatched job.
     pub fn makespan_end(&self) -> Timestamp {
         self.makespan_end
@@ -469,44 +353,9 @@ impl<T: ReservationTimeline> ExecEngine<T> {
     }
 }
 
-impl<T: ReservationTimeline> TaskEngine for ExecEngine<T> {
-    fn task_count(&self) -> usize {
-        ExecEngine::task_count(self)
-    }
-
-    fn note_arrival(&mut self, task: usize) {
-        ExecEngine::note_arrival(self, task);
-    }
-
-    fn enqueue(&mut self, task: usize, job: JobInput) {
-        ExecEngine::enqueue(self, task, job);
-    }
-
-    fn task_free_at(&self, task: usize) -> Timestamp {
-        ExecEngine::task_free_at(self, task)
-    }
-
-    fn task_backlog(&self, task: usize) -> bool {
-        ExecEngine::task_backlog(self, task)
-    }
-
-    fn service_all(&mut self, now: Timestamp, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        ExecEngine::service_all(self, now, model)
-    }
-
-    fn drain(&mut self, task: usize, model: &mut dyn JobModel) -> Result<(), EvEdgeError> {
-        ExecEngine::drain(self, task, model)
-    }
-
-    fn finish(self, static_power_w: f64) -> EngineReport {
-        ExecEngine::finish(self, static_power_w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_platform::timeline::DeviceTimeline;
 
     /// A fixed-duration model for engine-mechanics tests.
     struct FixedModel {
@@ -520,7 +369,7 @@ mod tests {
             _task: usize,
             _job: &JobInput,
             ready: Timestamp,
-            timeline: &mut dyn ReservationTimeline,
+            timeline: &mut DeviceTimeline,
         ) -> Result<(Timestamp, Energy), EvEdgeError> {
             let (_, end) = timeline.reserve_next(self.queue, ready, self.duration)?;
             Ok((end, Energy::from_joules(1.0)))

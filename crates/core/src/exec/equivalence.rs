@@ -1,21 +1,18 @@
-//! The semantic-equivalence contract between execution schedules.
+//! The semantic-equivalence contract between two schedules of the same
+//! workload.
 //!
-//! Every concurrent runtime in this repo except one promises *bitwise*
-//! determinism: the report equals the serial driver's, byte for byte.
-//! [`crate::multipipe::ExecMode::Optimizing`] deliberately gives that
-//! up — it re-orders same-queue work when doing so provably helps — and
-//! promises the weaker but still checkable contract this module pins
-//! down:
+//! The serial [`crate::exec::engine::ExecEngine`] is the reference
+//! schedule. A schedule that re-orders same-queue work to finish sooner
+//! gives up bitwise identity with it, and must keep this weaker but
+//! still checkable contract instead:
 //!
-//! 1. **Same job set.** Per task, the optimized schedule executes
+//! 1. **Same job set.** Per task, the candidate schedule executes
 //!    exactly the jobs the serial schedule executes, in the same
 //!    per-task order, with identical payloads (ready time, batch size,
 //!    density, event count) and identical drop decisions.
 //! 2. **Pointwise no-worse latency.** Every job completes no later than
 //!    its serial counterpart, so every per-job latency is bounded by the
-//!    serial latency ([`crate::exec::layer_parallel::OptimizingModel`]
-//!    enforces this structurally through its serial-completion gate —
-//!    Graham scheduling anomalies cannot leak into downstream timing).
+//!    serial latency.
 //! 3. **Aggregate no-worse metrics.** Mean/max latency per task, the
 //!    makespan, and total energy are each bounded by the serial value
 //!    (energy up to a relative [`ENERGY_TOLERANCE`], because commuting
@@ -23,11 +20,11 @@
 //!
 //! [`check_job_records`] verifies 1–2 on recorded job streams;
 //! [`check_reports`] verifies 1 (at counter granularity) and 3 on
-//! engine reports. The conformance suite and the `exec_equivalence`
-//! integration tests run both on every optimizing scenario; the
-//! perturbation tests in the same suite verify the *checker* by feeding
-//! it schedules with a dropped job, a mutated payload, and an inflated
-//! latency, and asserting each is rejected with the right error.
+//! engine reports. Two runs of the serial engine satisfy the contract
+//! trivially; the `exec_equivalence` integration tests verify the
+//! *checker* by feeding it a real serial run with a dropped job, a
+//! mutated payload, and an inflated latency, and asserting each is
+//! rejected with the right error.
 
 use crate::exec::engine::EngineReport;
 use crate::exec::job::JobRecord;
@@ -39,7 +36,7 @@ use std::fmt;
 /// few bits but nothing more.
 pub const ENERGY_TOLERANCE: f64 = 1e-9;
 
-/// A way in which an optimized schedule failed to be semantically
+/// A way in which a candidate schedule failed to be semantically
 /// equivalent to (and no worse than) its serial reference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EquivalenceError {
@@ -186,10 +183,15 @@ impl fmt::Display for EquivalenceError {
 
 impl std::error::Error for EquivalenceError {}
 
-/// Groups job-record indices by owning task.
+/// Groups job-record indices by owning task. The result covers at
+/// least `tasks` tasks, and grows to cover any record whose task index
+/// lies beyond that, so a stray record surfaces as a count mismatch.
 fn per_task_indices(records: &[JobRecord], tasks: usize) -> Vec<Vec<usize>> {
     let mut by_task = vec![Vec::new(); tasks];
     for (i, job) in records.iter().enumerate() {
+        if job.task >= by_task.len() {
+            by_task.resize(job.task + 1, Vec::new());
+        }
         by_task[job.task].push(i);
     }
     by_task
@@ -202,7 +204,7 @@ fn per_task_indices(records: &[JobRecord], tasks: usize) -> Vec<Vec<usize>> {
 /// (records may legitimately omit idle tasks).
 ///
 /// The *global* interleaving across tasks is allowed to differ — that
-/// is exactly the freedom the optimizing mode trades bitwise
+/// is exactly the freedom a re-ordering schedule trades bitwise
 /// determinism for.
 ///
 /// # Errors
@@ -213,9 +215,12 @@ pub fn check_job_records(
     optimized: &[JobRecord],
     tasks: usize,
 ) -> Result<(), EquivalenceError> {
-    let serial_by_task = per_task_indices(serial, tasks);
-    let optimized_by_task = per_task_indices(optimized, tasks);
-    for task in 0..tasks {
+    let mut serial_by_task = per_task_indices(serial, tasks);
+    let mut optimized_by_task = per_task_indices(optimized, tasks);
+    let covered = serial_by_task.len().max(optimized_by_task.len());
+    serial_by_task.resize(covered, Vec::new());
+    optimized_by_task.resize(covered, Vec::new());
+    for task in 0..covered {
         let (a, b) = (&serial_by_task[task], &optimized_by_task[task]);
         if a.len() != b.len() {
             return Err(EquivalenceError::JobCountMismatch {
@@ -366,6 +371,20 @@ mod tests {
             Err(EquivalenceError::JobCountMismatch {
                 task: 0,
                 serial: 2,
+                optimized: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn stray_task_record_is_rejected() {
+        let serial = vec![job(0, 0, 100)];
+        let optimized = vec![job(0, 0, 100), job(3, 10, 50)];
+        assert_eq!(
+            check_job_records(&serial, &optimized, 1),
+            Err(EquivalenceError::JobCountMismatch {
+                task: 3,
+                serial: 0,
                 optimized: 1,
             })
         );

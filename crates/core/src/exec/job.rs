@@ -23,7 +23,7 @@ use ev_platform::energy::Energy;
 use ev_platform::latency::{transfer_cost, CostEstimate};
 use ev_platform::pe::Platform;
 use ev_platform::schedule::{list_schedule, SchedNode, Schedule};
-use ev_platform::ReservationTimeline;
+use ev_platform::timeline::DeviceTimeline;
 use std::collections::HashMap;
 
 /// One pending inference input: what a task's bounded queue holds.
@@ -93,38 +93,8 @@ pub trait JobModel {
         task: usize,
         job: &JobInput,
         ready: Timestamp,
-        timeline: &mut dyn ReservationTimeline,
+        timeline: &mut DeviceTimeline,
     ) -> Result<(Timestamp, Energy), EvEdgeError>;
-
-    /// Dispatches one job and additionally reports its *service gate*:
-    /// the instant the engine should treat the task as busy until before
-    /// popping its next queued input.
-    ///
-    /// For every order-preserving model the gate *is* the completion
-    /// (the default), which keeps the engine's pop timing — and with it
-    /// the entire arrival/drop/dispatch sequence — bitwise identical to
-    /// the serial reference. A schedule-optimizing model (see
-    /// [`crate::exec::layer_parallel::OptimizingModel`]) may finish a
-    /// job earlier than the serial schedule would have; it then returns
-    /// the real completion (for latency accounting) alongside the
-    /// serial-equivalent gate, so an early finish never perturbs which
-    /// jobs run or drop — the anchor of the semantic-equivalence
-    /// contract in [`crate::exec::equivalence`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EvEdgeError`] for unexecutable assignments or
-    /// reservation failures.
-    fn dispatch_gated(
-        &mut self,
-        task: usize,
-        job: &JobInput,
-        ready: Timestamp,
-        timeline: &mut dyn ReservationTimeline,
-    ) -> Result<(Timestamp, Timestamp, Energy), EvEdgeError> {
-        self.dispatch(task, job, ready, timeline)
-            .map(|(end, energy)| (end, end, energy))
-    }
 }
 
 /// Builds a scheduler DAG over network layers, inserting data-transfer
@@ -236,13 +206,11 @@ impl<'a> SchedGraphBuilder<'a> {
 ///
 /// Reservations are batched per job: maximal runs of layers whose
 /// predecessors all live on the same processing element collapse into
-/// one [`ReservationTimeline::reserve_run`] chain, so a whole single-PE
-/// network costs one timeline call (one channel round trip on the
-/// message-passing [`crate::exec::parallel::ParallelTimeline`]) instead
-/// of one per layer. The produced reservations are identical to the
-/// per-layer sequence: within a FIFO queue, a layer whose dependencies
-/// all precede it on that queue always starts exactly when the previous
-/// reservation ends.
+/// one [`DeviceTimeline::reserve_run`] chain, so a whole single-PE
+/// network costs one timeline call instead of one per layer. The
+/// produced reservations are identical to the per-layer sequence:
+/// within a FIFO queue, a layer whose dependencies all precede it on
+/// that queue always starts exactly when the previous reservation ends.
 #[derive(Debug)]
 pub struct MappedJobModel<'a> {
     problem: &'a MultiTaskProblem,
@@ -267,7 +235,7 @@ impl<'a> MappedJobModel<'a> {
 /// Reserves the pending run as one back-to-back chain and records the
 /// completion time of every layer in it.
 fn flush_run(
-    timeline: &mut dyn ReservationTimeline,
+    timeline: &mut DeviceTimeline,
     queue: usize,
     ready: Timestamp,
     durations: &mut Vec<TimeDelta>,
@@ -294,7 +262,7 @@ impl JobModel for MappedJobModel<'_> {
         task: usize,
         _job: &JobInput,
         ready: Timestamp,
-        timeline: &mut dyn ReservationTimeline,
+        timeline: &mut DeviceTimeline,
     ) -> Result<(Timestamp, Energy), EvEdgeError> {
         let platform = self.problem.platform();
         let graph = &self.problem.tasks()[task].graph;
@@ -437,7 +405,7 @@ where
         _task: usize,
         job: &JobInput,
         ready: Timestamp,
-        timeline: &mut dyn ReservationTimeline,
+        timeline: &mut DeviceTimeline,
     ) -> Result<(Timestamp, Energy), EvEdgeError> {
         let (duration, energy) = self.job_cost(job.density, job.batch)?;
         let (_, end) = timeline.reserve_next(self.queue, ready, duration)?;
@@ -448,7 +416,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_platform::timeline::DeviceTimeline;
 
     #[test]
     fn job_record_latency() {

@@ -32,8 +32,8 @@ pub struct TaskSpec {
     /// Measured per-layer input densities for *data-dependent* workloads
     /// (one entry per layer; e.g. the GraphNet active-node schedule).
     /// `None` profiles with domain-default densities. Densities enter the
-    /// cost tables once, at profile time, so every execution mode prices
-    /// the task identically.
+    /// cost tables once, at profile time, so the runtime and the offline
+    /// fitness evaluator price the task identically.
     pub densities: Option<Vec<f64>>,
 }
 

@@ -1,11 +1,25 @@
-//! Property-based tests for E2SF and DSFA invariants.
+//! Property-based tests for E2SF and DSFA invariants, and the serial
+//! runtime's contract: the multi-task drivers serve every task of every
+//! workload mix, deterministically. That the drivers are the exec
+//! engine itself is pinned in `exec_equivalence.rs`.
 
 use ev_core::event::{Event, Polarity, SensorGeometry};
 use ev_core::stream::EventSlice;
 use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
+use ev_datasets::mvsec::SequenceId;
 use ev_edge::dsfa::{CMode, Dsfa, DsfaConfig, MergedFrame};
 use ev_edge::e2sf::{E2sf, E2sfConfig, E2sfScratch};
 use ev_edge::frame::SparseFrame;
+use ev_edge::multipipe::{
+    run_multi_task_runtime, run_multi_task_streams, MultiTaskRuntimeConfig, StreamTask,
+};
+use ev_edge::nmp::baseline;
+use ev_edge::nmp::evolution::{run_nmp, NmpConfig};
+use ev_edge::nmp::fitness::FitnessConfig;
+use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
+use ev_edge::nmp::sweep::TaskMix;
+use ev_nn::zoo::{NetworkId, ZooConfig};
+use ev_platform::pe::Platform;
 use proptest::prelude::*;
 
 const W: u16 = 24;
@@ -226,4 +240,149 @@ proptest! {
             );
         }
     }
+}
+
+fn single_task_problem() -> MultiTaskProblem {
+    let cfg = ZooConfig::mvsec();
+    MultiTaskProblem::new(
+        Platform::xavier_agx(),
+        vec![TaskSpec::new(
+            NetworkId::Dotie.build(&cfg).unwrap(),
+            NetworkId::Dotie.accuracy_model(),
+            0.04,
+        )],
+    )
+    .unwrap()
+}
+
+fn three_task_problem() -> MultiTaskProblem {
+    let cfg = ZooConfig::mvsec();
+    let task = |id: NetworkId, delta: f64| {
+        TaskSpec::new(id.build(&cfg).unwrap(), id.accuracy_model(), delta)
+    };
+    MultiTaskProblem::new(
+        Platform::xavier_agx(),
+        vec![
+            task(NetworkId::Dotie, 0.04),
+            task(NetworkId::E2Depth, 0.02),
+            task(NetworkId::SpikeFlowNet, 0.03),
+        ],
+    )
+    .unwrap()
+}
+
+/// Every task completes inferences under every queue capacity and
+/// mapped-PE configuration: RR-Network keeps whole networks on one PE,
+/// RR-Layer alternates PEs per layer, and a searched mapping lands in
+/// between.
+#[test]
+fn periodic_runtime_serves_every_task_across_capacities_and_mappings() {
+    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
+    for problem in [single_task_problem(), three_task_problem()] {
+        let searched = run_nmp(
+            &problem,
+            NmpConfig {
+                population: 8,
+                generations: 4,
+                seed: 17,
+                ..NmpConfig::default()
+            },
+            FitnessConfig::default(),
+        )
+        .unwrap()
+        .best;
+        let periods: Vec<TimeDelta> = (0..problem.tasks().len())
+            .map(|t| TimeDelta::from_millis(3 + 2 * t as i64))
+            .collect();
+        for candidate in [
+            baseline::rr_network(&problem),
+            baseline::rr_layer(&problem),
+            searched,
+        ] {
+            for queue_capacity in [1usize, 2, 5] {
+                let mut config = MultiTaskRuntimeConfig::new(window);
+                config.queue_capacity = queue_capacity;
+                let report =
+                    run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
+                assert!(
+                    report.per_task.iter().all(|t| t.completed > 0),
+                    "capacity {queue_capacity}, {} tasks",
+                    problem.tasks().len()
+                );
+            }
+        }
+    }
+}
+
+/// The heterogeneous workload classes — data-dependent GraphNet tasks
+/// (GNN-heavy mix) and the always-on corner frontend beside dense
+/// inference (corner+inference mix) — carry their density schedules
+/// into the problem and run every task, on both the GPU-class preset
+/// and the composable-dataflow fabric.
+#[test]
+fn heterogeneous_mixes_serve_every_task() {
+    let cfg = ZooConfig::mvsec();
+    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50));
+    for mix in [TaskMix::GnnHeavy, TaskMix::CornerPlusInference] {
+        for platform in [Platform::xavier_agx(), Platform::composable_dataflow()] {
+            let problem = mix.build_problem(platform, &cfg).unwrap();
+            assert!(
+                problem.tasks().iter().any(|t| t.densities.is_some()),
+                "mix {} must carry at least one data-dependent task",
+                mix.name()
+            );
+            let periods: Vec<TimeDelta> = (0..problem.tasks().len())
+                .map(|t| TimeDelta::from_millis(3 + 2 * t as i64))
+                .collect();
+            for candidate in [baseline::rr_network(&problem), baseline::rr_layer(&problem)] {
+                let config = MultiTaskRuntimeConfig::new(window);
+                let report =
+                    run_multi_task_runtime(&problem, &candidate, &periods, config).unwrap();
+                assert!(
+                    report.per_task.iter().all(|t| t.completed > 0),
+                    "mix {} must execute every task",
+                    mix.name()
+                );
+            }
+        }
+    }
+}
+
+/// The full streaming scenario (E2SF + DSFA frontends) delivers frames
+/// to every task and is deterministic.
+#[test]
+fn streaming_runtime_delivers_frames_to_every_task() {
+    let problem = three_task_problem();
+    let candidate = baseline::rr_network(&problem);
+    let streams = vec![
+        StreamTask {
+            sequence: SequenceId::IndoorFlying1.sequence(),
+            bins_per_interval: 6,
+            dsfa: DsfaConfig::default(),
+        },
+        StreamTask {
+            sequence: SequenceId::OutdoorDay1.sequence(),
+            bins_per_interval: 4,
+            dsfa: DsfaConfig {
+                cmode: CMode::CBatch,
+                mb_size: 1,
+                ..DsfaConfig::default()
+            },
+        },
+        StreamTask {
+            sequence: SequenceId::DenseTown10.sequence(),
+            bins_per_interval: 8,
+            dsfa: DsfaConfig {
+                ebuf_size: 4,
+                mb_size: 2,
+                ..DsfaConfig::default()
+            },
+        },
+    ];
+    let config =
+        MultiTaskRuntimeConfig::new(TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(50)));
+    let report = run_multi_task_streams(&problem, &candidate, &streams, config).unwrap();
+    assert!(report.per_task.iter().all(|t| t.arrivals > 0));
+    let again = run_multi_task_streams(&problem, &candidate, &streams, config).unwrap();
+    assert_eq!(report, again);
 }

@@ -13,8 +13,8 @@
 //! [`graph_net_density_schedule`] replays a deterministic synthetic event
 //! stream through [`ev_sparse::graph::EventGraph`]'s active-set dynamics
 //! and returns one input density per layer — the measurements
-//! `ev_platform::profile::NetworkProfile::record` consumes so all
-//! execution modes price the network identically.
+//! `ev_platform::profile::NetworkProfile::record` consumes so every
+//! consumer of the profile prices the network identically.
 
 use crate::graph::{GraphBuilder, NetworkGraph};
 use crate::layer::{Conv2dCfg, GraphConvCfg, LayerId, LayerKind};
