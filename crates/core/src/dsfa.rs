@@ -98,23 +98,24 @@ impl Default for DsfaConfig {
 /// The merged tensor is lazy: while the bucket holds a single frame its
 /// own tensor *is* the merge, so nothing is cloned until a second frame
 /// actually arrives (and `cBatch` buckets, which never take one, never
-/// materialize a merge at all). The merged spatial density is cached at
-/// push time, so the `MdTh` probe in [`Dsfa::push`] is a float read
-/// instead of a per-probe recount over every candidate bucket.
+/// materialize a merge at all). The merged content's active-site count
+/// is carried, not recounted: a single frame brings its own, and each
+/// merge counts the union once. The `MdTh` probe in [`Dsfa::push`] reads
+/// it, and the merged [`SparseFrame`] is built with it.
 #[derive(Debug, Clone, PartialEq)]
 struct MergeBucket {
     frames: Vec<SparseFrame>,
     merged: Option<SparseTensor>,
-    merged_density: f64,
+    merged_sites: usize,
     full: bool,
 }
 
 impl MergeBucket {
-    fn new(frame: SparseFrame, density: f64) -> Self {
+    fn new(frame: SparseFrame) -> Self {
         MergeBucket {
+            merged_sites: frame.active_sites(),
             frames: vec![frame],
             merged: None,
-            merged_density: density,
             full: false,
         }
     }
@@ -123,22 +124,30 @@ impl MergeBucket {
         self.frames[0].window().start()
     }
 
+    /// Spatial density of the merged content, bit-identical to
+    /// [`SparseTensor::spatial_density`] of the merged tensor.
+    fn merged_density(&self) -> f64 {
+        let t = self.frames[0].tensor();
+        self.merged_sites as f64 / (t.height() * t.width()) as f64
+    }
+
     fn push(&mut self, frame: SparseFrame) -> Result<(), EvEdgeError> {
         let merged = match self.merged.take() {
             Some(t) => t.add(frame.tensor())?,
             None => self.frames[0].tensor().add(frame.tensor())?,
         };
-        self.merged_density = merged.spatial_density();
+        self.merged_sites = merged.count_active_sites();
         self.merged = Some(merged);
         self.frames.push(frame);
         Ok(())
     }
 
-    /// Consumes the bucket, yielding the merged tensor (moving the sole
-    /// frame's tensor out when no merge was materialized) and the frames'
-    /// metadata: `(tensor, merged_count, start, end, events)`.
-    fn into_merged(self) -> (SparseTensor, usize, Timestamp, Timestamp, usize) {
+    /// Consumes the bucket into its merged frame: the merged tensor (the
+    /// sole frame's tensor moved out when no merge was materialized),
+    /// averaged under `cAverage`, spanning its frames' windows.
+    fn into_merged(self, cmode: CMode) -> MergedFrame {
         let merged_count = self.frames.len();
+        let sites = self.merged_sites;
         let start = self
             .frames
             .iter()
@@ -152,7 +161,7 @@ impl MergeBucket {
             .max()
             .expect("bucket is nonempty");
         let events: usize = self.frames.iter().map(|f| f.event_count()).sum();
-        let tensor = match self.merged {
+        let mut tensor = match self.merged {
             Some(t) => t,
             None => self
                 .frames
@@ -161,7 +170,15 @@ impl MergeBucket {
                 .expect("bucket is nonempty")
                 .into_tensor(),
         };
-        (tensor, merged_count, start, end, events)
+        if cmode == CMode::CAverage {
+            // A nonzero scale keeps every entry, so `sites` still holds.
+            tensor.scale(1.0 / merged_count as f32);
+        }
+        let window = TimeWindow::new(start, end);
+        MergedFrame {
+            frame: SparseFrame::with_active_sites(tensor, window, events, sites),
+            merged_count,
+        }
     }
 }
 
@@ -345,7 +362,7 @@ impl Dsfa {
         if self.config.cmode == CMode::CBatch {
             // cBatch: every generated frame starts its own bucket. The
             // density is never probed (no bucket accepts a second frame).
-            self.buckets.push(MergeBucket::new(frame, 0.0));
+            self.buckets.push(MergeBucket::new(frame));
             return Ok(());
         }
         let density = frame.spatial_density();
@@ -362,8 +379,8 @@ impl Dsfa {
                 continue;
             }
             // Condition (ii): relative spatial-density change, against the
-            // density cached when the bucket last changed.
-            let merged_density = bucket.merged_density;
+            // site count carried since the bucket last changed.
+            let merged_density = bucket.merged_density();
             let change = if merged_density > 0.0 {
                 (density - merged_density).abs() / merged_density
             } else if density > 0.0 {
@@ -381,7 +398,7 @@ impl Dsfa {
         }
         match target {
             Some(i) => self.buckets[i].push(frame)?,
-            None => self.buckets.push(MergeBucket::new(frame, density)),
+            None => self.buckets.push(MergeBucket::new(frame)),
         }
         Ok(())
     }
@@ -390,14 +407,7 @@ impl Dsfa {
         let buckets = core::mem::take(&mut self.buckets);
         let mut frames = Vec::with_capacity(buckets.len());
         for bucket in buckets {
-            let (mut tensor, merged_count, start, end, events) = bucket.into_merged();
-            if self.config.cmode == CMode::CAverage {
-                tensor.scale(1.0 / merged_count as f32);
-            }
-            frames.push(MergedFrame {
-                frame: SparseFrame::new(tensor, TimeWindow::new(start, end), events),
-                merged_count,
-            });
+            frames.push(bucket.into_merged(self.config.cmode));
             self.stats.merged_frames_out += 1;
         }
         self.stats.batches_out += 1;

@@ -17,7 +17,7 @@
 
 use crate::frame::SparseFrame;
 use crate::EvEdgeError;
-use ev_core::event::Polarity;
+use ev_core::event::{Event, Polarity};
 use ev_core::stream::EventSlice;
 use ev_core::{TimeDelta, TimeWindow};
 use ev_sparse::coo::{SparseEntry, SparseTensor};
@@ -86,12 +86,14 @@ impl Default for E2sfConfig {
     }
 }
 
-/// Reusable per-interval accumulation state for [`E2sf::convert_with`].
+/// Reusable accumulation state for [`E2sf::convert_with`].
 ///
-/// One flat `[C, H, W]`-indexed value plane per bin plus the list of
-/// touched flat indices. Accumulating an event is a single indexed add —
-/// no hash maps, no per-event entry records — and after each emit only
-/// the touched slots are cleared, so steady-state streaming conversion
+/// One flat `[C, H, W]`-indexed value plane plus the list of touched flat
+/// indices, shared by every bin: events are time-sorted, so each bin is a
+/// contiguous run that is accumulated, emitted and cleared before the
+/// next one starts. Accumulating an event is a single indexed add — no
+/// hash maps, no per-event entry records — and after each emit only the
+/// touched slots are cleared, so steady-state streaming conversion
 /// reuses every buffer. Because the flat index `(c*H + y)*W + x` is
 /// monotone in the canonical `(channel, row, col)` key, sorting the
 /// touched indices yields the frame's entries already in canonical order
@@ -100,15 +102,8 @@ impl Default for E2sfConfig {
 /// [`E2sf::convert`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct E2sfScratch {
-    bins: Vec<BinScratch>,
-    slots: usize,
-}
-
-#[derive(Debug, Clone, Default)]
-struct BinScratch {
     values: Vec<f32>,
     touched: Vec<u32>,
-    events: usize,
 }
 
 impl E2sfScratch {
@@ -117,14 +112,9 @@ impl E2sfScratch {
         E2sfScratch::default()
     }
 
-    fn ensure(&mut self, nb: usize, slots: usize) {
-        if self.slots != slots || self.bins.len() != nb {
-            self.bins.clear();
-            self.bins.resize_with(nb, BinScratch::default);
-            for bin in &mut self.bins {
-                bin.values = vec![0.0; slots];
-            }
-            self.slots = slots;
+    fn ensure(&mut self, slots: usize) {
+        if self.values.len() != slots {
+            self.values = vec![0.0; slots];
         }
     }
 }
@@ -186,7 +176,7 @@ impl E2sf {
     }
 
     /// [`E2sf::convert`] with a caller-owned scratch arena: repeated
-    /// conversions reuse the per-bin accumulation planes, which is how
+    /// conversions reuse the accumulation plane, which is how
     /// the streaming stages call it. Frames are bitwise identical to
     /// `convert`'s.
     ///
@@ -213,50 +203,58 @@ impl E2sf {
         let bis = total_us as u64 / nb as u64; // bin duration biS
         let with_timestamps =
             self.config.representation == FrameRepresentation::CountsAndTimestamps;
-        scratch.ensure(nb, channels * plane);
-        for ev in events.window(interval) {
-            // EBk = floor((tk − Tstart) / biS), clamped: the remainder of
-            // integer division can push trailing events past the last bin.
+        scratch.ensure(channels * plane);
+        let E2sfScratch { values, touched } = scratch;
+        // EBk = floor((tk − Tstart) / biS), clamped: the remainder of
+        // integer division can push trailing events past the last bin.
+        // EBk never decreases along the time-sorted events, so bin k is
+        // the contiguous run `partition_point` finds.
+        let ebk = |ev: &Event| {
             let offset = ev.t.saturating_since(interval.start()).as_micros() as u64;
-            let k = ((offset / bis.max(1)) as usize).min(nb - 1);
-            let channel = ev.polarity.channel();
-            let bin_scratch = &mut scratch.bins[k];
-            // Count channels accumulate; a slot is touched iff nonzero
-            // (counts only grow from 1.0), so the zero test doubles as
-            // touched-list dedup.
-            let idx = (channel * h + ev.y as usize) * w + ev.x as usize;
-            let slot = &mut bin_scratch.values[idx];
-            if *slot == 0.0 {
-                bin_scratch.touched.push(idx as u32);
-            }
-            *slot += 1.0;
-            bin_scratch.events += 1;
-            if with_timestamps {
-                // Normalized timestamp within the bin, in (0, 1]: always
-                // positive, so the same nonzero-means-touched rule holds,
-                // and "most recent" replaces rather than accumulates.
-                let bin = bins[k];
-                let frac = (ev.t.saturating_since(bin.start()).as_micros() as f64 + 1.0)
-                    / bin.duration().as_micros().max(1) as f64;
-                let sidx = idx + 2 * plane;
-                let slot = &mut bin_scratch.values[sidx];
-                if *slot == 0.0 {
-                    bin_scratch.touched.push(sidx as u32);
-                }
-                *slot = frac.min(1.0) as f32;
-            }
-        }
+            ((offset / bis.max(1)) as usize).min(nb - 1)
+        };
+        let mut rest = events.window(interval);
         let mut frames = Vec::with_capacity(nb);
-        for (bin_scratch, window) in scratch.bins.iter_mut().zip(bins) {
+        for (k, window) in bins.into_iter().enumerate() {
+            let (run, tail) = rest.split_at(rest.partition_point(|ev| ebk(ev) <= k));
+            rest = tail;
+            let mut sites = 0usize;
+            for ev in run {
+                let channel = ev.polarity.channel();
+                let pixel = ev.y as usize * w + ev.x as usize;
+                let idx = channel * plane + pixel;
+                // Count channels accumulate; a slot is touched iff nonzero
+                // (counts only grow from 1.0), so the zero test doubles as
+                // touched-list dedup. A first touch opens a new active site
+                // unless the other polarity already holds the pixel.
+                if values[idx] == 0.0 {
+                    touched.push(idx as u32);
+                    sites += usize::from(values[(1 - channel) * plane + pixel] == 0.0);
+                }
+                values[idx] += 1.0;
+                if with_timestamps {
+                    // Normalized timestamp within the bin, in (0, 1]:
+                    // always positive, so the same nonzero-means-touched
+                    // rule holds, and "most recent" replaces rather than
+                    // accumulates. Its pixel already counts as a site.
+                    let frac = (ev.t.saturating_since(window.start()).as_micros() as f64 + 1.0)
+                        / window.duration().as_micros().max(1) as f64;
+                    let sidx = idx + 2 * plane;
+                    let slot = &mut values[sidx];
+                    if *slot == 0.0 {
+                        touched.push(sidx as u32);
+                    }
+                    *slot = frac.min(1.0) as f32;
+                }
+            }
             // Ascending flat index == ascending (channel, row, col), so
             // the entries come out canonical and the constructor skips
-            // the sort. Only touched slots are cleared for the next call.
-            bin_scratch.touched.sort_unstable();
-            let mut entries = Vec::with_capacity(bin_scratch.touched.len());
-            for &idx in &bin_scratch.touched {
+            // the sort. Only touched slots are cleared for the next bin.
+            touched.sort_unstable();
+            let mut entries = Vec::with_capacity(touched.len());
+            for &idx in touched.iter() {
                 let idx = idx as usize;
-                let value = bin_scratch.values[idx];
-                bin_scratch.values[idx] = 0.0;
+                let value = core::mem::take(&mut values[idx]);
                 let rem = idx % plane;
                 entries.push(SparseEntry::new(
                     (idx / plane) as u32,
@@ -265,11 +263,14 @@ impl E2sf {
                     value,
                 ));
             }
-            bin_scratch.touched.clear();
-            let count = bin_scratch.events;
-            bin_scratch.events = 0;
+            touched.clear();
             let tensor = SparseTensor::from_canonical_entries(channels, h, w, entries)?;
-            frames.push(SparseFrame::new(tensor, window, count));
+            frames.push(SparseFrame::with_active_sites(
+                tensor,
+                window,
+                run.len(),
+                sites,
+            ));
         }
         Ok(frames)
     }

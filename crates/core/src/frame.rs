@@ -12,25 +12,41 @@ pub struct SparseFrame {
     tensor: SparseTensor,
     window: TimeWindow,
     event_count: usize,
+    active_sites: usize,
 }
 
 impl SparseFrame {
     /// Wraps a sparse tensor with its time window and originating event
-    /// count.
+    /// count, counting its active spatial sites once.
     ///
     /// # Panics
     ///
     /// Panics if `tensor` does not have an even channel count (polarity
     /// pairs).
     pub fn new(tensor: SparseTensor, window: TimeWindow, event_count: usize) -> Self {
+        let active_sites = tensor.count_active_sites();
+        SparseFrame::with_active_sites(tensor, window, event_count, active_sites)
+    }
+
+    /// [`SparseFrame::new`] for a producer that already knows the
+    /// tensor's active-site count (E2SF counts sites as events arrive,
+    /// DSFA once per merge), so the frame never recounts it.
+    pub(crate) fn with_active_sites(
+        tensor: SparseTensor,
+        window: TimeWindow,
+        event_count: usize,
+        active_sites: usize,
+    ) -> Self {
         assert!(
             tensor.channels().is_multiple_of(2),
             "sparse frames carry polarity channel pairs"
         );
+        debug_assert_eq!(active_sites, tensor.count_active_sites());
         SparseFrame {
             tensor,
             window,
             event_count,
+            active_sites,
         }
     }
 
@@ -59,9 +75,16 @@ impl SparseFrame {
         self.event_count
     }
 
-    /// Fraction of spatial sites with at least one event.
+    /// Number of spatial sites `(row, col)` with at least one event.
+    pub(crate) fn active_sites(&self) -> usize {
+        self.active_sites
+    }
+
+    /// Fraction of spatial sites with at least one event; bit-identical
+    /// to the tensor's [`SparseTensor::spatial_density`], without the
+    /// recount.
     pub fn spatial_density(&self) -> f64 {
-        self.tensor.spatial_density()
+        self.active_sites as f64 / (self.tensor.height() * self.tensor.width()) as f64
     }
 
     /// Stored nonzeros.
@@ -111,6 +134,7 @@ mod tests {
         assert_eq!(frame.ready_at(), Timestamp::from_millis(6));
         assert_eq!(frame.nnz(), 2);
         // One active site of 64.
+        assert_eq!(frame.active_sites(), 1);
         assert!((frame.spatial_density() - 1.0 / 64.0).abs() < 1e-12);
         assert_eq!(frame.window().duration(), TimeDelta::from_millis(2));
     }

@@ -8,7 +8,7 @@ use ev_core::stream::EventSlice;
 use ev_core::time::{TimeDelta, TimeWindow, Timestamp};
 use ev_datasets::mvsec::SequenceId;
 use ev_edge::dsfa::{CMode, Dsfa, DsfaConfig, MergedFrame};
-use ev_edge::e2sf::{E2sf, E2sfConfig, E2sfScratch};
+use ev_edge::e2sf::{E2sf, E2sfConfig, E2sfScratch, FrameRepresentation};
 use ev_edge::frame::SparseFrame;
 use ev_edge::multipipe::{
     run_multi_task_runtime, run_multi_task_streams, MultiTaskRuntimeConfig, StreamTask,
@@ -20,7 +20,9 @@ use ev_edge::nmp::multitask::{MultiTaskProblem, TaskSpec};
 use ev_edge::nmp::sweep::TaskMix;
 use ev_nn::zoo::{NetworkId, ZooConfig};
 use ev_platform::pe::Platform;
+use ev_sparse::coo::{SparseEntry, SparseTensor};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const W: u16 = 24;
 const H: u16 = 20;
@@ -150,31 +152,102 @@ proptest! {
         }
     }
 
+    /// The single-plane fast path equals a per-event reference: every
+    /// in-window event is assigned to bin `EBk = min(floor(offset/biS),
+    /// nB−1)` and each bin is built by `SparseTensor::from_entries`
+    /// (counts accumulate, the timestamp surface keeps the latest event).
+    /// Interval lengths need not divide by `nB`, and each frame's carried
+    /// density is bit-equal to a recount.
+    #[test]
+    fn e2sf_matches_per_event_reference(
+        events in arb_events(300),
+        bins in 1usize..16,
+        start_us in 0u64..3_000,
+        span_us in 16u64..20_000,
+        timestamps in any::<bool>(),
+    ) {
+        let slice = make_slice(events);
+        let interval = TimeWindow::new(
+            Timestamp::from_micros(start_us),
+            Timestamp::from_micros(start_us + span_us),
+        );
+        let representation = if timestamps {
+            FrameRepresentation::CountsAndTimestamps
+        } else {
+            FrameRepresentation::PolarityCounts
+        };
+        let config = E2sfConfig::new(bins).with_representation(representation);
+        let frames = E2sf::new(config)
+            .convert(&slice, interval)
+            .expect("interval long enough");
+        let windows = interval.split(bins);
+        let bis = span_us / bins as u64;
+        let mut counts: Vec<Vec<SparseEntry>> = vec![Vec::new(); bins];
+        let mut latest: Vec<BTreeMap<(u32, u32, u32), f32>> = vec![BTreeMap::new(); bins];
+        let mut events_per_bin = vec![0usize; bins];
+        for ev in slice.window(interval) {
+            let offset = ev.t.saturating_since(interval.start()).as_micros() as u64;
+            let k = ((offset / bis) as usize).min(bins - 1);
+            let c = ev.polarity.channel() as u32;
+            let (y, x) = (ev.y as u32, ev.x as u32);
+            counts[k].push(SparseEntry::new(c, y, x, 1.0));
+            events_per_bin[k] += 1;
+            let bin = windows[k];
+            let frac = (ev.t.saturating_since(bin.start()).as_micros() as f64 + 1.0)
+                / bin.duration().as_micros().max(1) as f64;
+            latest[k].insert((c + 2, y, x), frac.min(1.0) as f32);
+        }
+        prop_assert_eq!(frames.len(), bins);
+        for (k, frame) in frames.iter().enumerate() {
+            let mut entries = counts[k].clone();
+            if timestamps {
+                entries.extend(
+                    latest[k].iter().map(|(&(c, y, x), &v)| SparseEntry::new(c, y, x, v)),
+                );
+            }
+            let tensor = SparseTensor::from_entries(
+                representation.channels(),
+                H as usize,
+                W as usize,
+                entries,
+            )
+            .expect("in bounds");
+            let reference = SparseFrame::new(tensor, windows[k], events_per_bin[k]);
+            prop_assert_eq!(frame, &reference);
+            prop_assert_eq!(
+                frame.spatial_density().to_bits(),
+                frame.tensor().spatial_density().to_bits()
+            );
+        }
+    }
+
     /// The lazy incremental merge reproduces the dispatch-time fold it
     /// replaced: each merged frame's tensor is exactly the left fold of
     /// its constituent input frames under the combination mode. Buckets
     /// fill strictly in arrival order (every rejected probe closes the
-    /// bucket, so at most one bucket is ever available), which lets the
-    /// reference walk consume `merged_count` inputs per merged frame.
+    /// bucket, so at most one bucket is ever available; `cBatch` opens one
+    /// per frame), which lets the reference walk consume `merged_count`
+    /// inputs per merged frame.
     #[test]
     fn dsfa_lazy_merge_matches_reference_fold(
         events in arb_events(400),
         mb_size in 1usize..6,
         mt_ms in 1i64..30,
         md in 0.01f64..4.0,
-        average in any::<bool>(),
+        mode in 0usize..3,
     ) {
         let slice = make_slice(events);
         let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_micros(20_000));
         let inputs = E2sf::new(E2sfConfig::new(8))
             .convert(&slice, window)
             .expect("interval long enough");
+        let cmode = [CMode::CAdd, CMode::CAverage, CMode::CBatch][mode];
         let config = DsfaConfig {
             ebuf_size: mb_size * 2,
             mb_size,
             mt_th: TimeDelta::from_millis(mt_ms),
             md_th: md,
-            cmode: if average { CMode::CAverage } else { CMode::CAdd },
+            cmode,
         };
         let mut dsfa = Dsfa::new(config).expect("valid config");
         let mut merged: Vec<MergedFrame> = Vec::new();
@@ -194,10 +267,15 @@ proptest! {
             for s in &sources[1..] {
                 reference = reference.add(s.tensor()).expect("same geometry");
             }
-            if average {
+            if cmode == CMode::CAverage {
                 reference.scale(1.0 / m.merged_count as f32);
             }
             prop_assert_eq!(m.frame.tensor(), &reference);
+            // The carried site count gives the recounted density, bit for bit.
+            prop_assert_eq!(
+                m.frame.spatial_density().to_bits(),
+                reference.spatial_density().to_bits()
+            );
         }
         prop_assert_eq!(next, inputs.len(), "every input frame accounted for");
     }

@@ -71,41 +71,46 @@ pub fn encode(slice: &EventSlice) -> Vec<u8> {
 /// Returns [`EventError::MalformedAer`] when the header or record framing is
 /// invalid, and propagates [`EventSlice::new`] validation errors.
 pub fn decode(bytes: &[u8]) -> Result<EventSlice, EventError> {
-    if bytes.len() < HEADER_LEN {
+    // Fixed-size array views type the framing: no byte range below can
+    // be short, so no conversion needs a length check.
+    let Some((header, body)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         return Err(EventError::MalformedAer {
             reason: "stream shorter than header".into(),
         });
-    }
-    if bytes[0..4] != AER_MAGIC {
+    };
+    let [m0, m1, m2, m3, w0, w1, w2, w3, h0, h1, h2, h3, base @ ..] = *header;
+    if [m0, m1, m2, m3] != AER_MAGIC {
         return Err(EventError::MalformedAer {
             reason: "bad magic".into(),
         });
     }
-    let width = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let height = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    let width = u32::from_le_bytes([w0, w1, w2, w3]);
+    let height = u32::from_le_bytes([h0, h1, h2, h3]);
     if width == 0 || height == 0 || width > 1 << 16 || height > 1 << 16 {
         return Err(EventError::MalformedAer {
             reason: format!("invalid geometry {width}x{height}"),
         });
     }
-    let base = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let body = &bytes[HEADER_LEN..];
-    if !body.len().is_multiple_of(RECORD_LEN) {
+    let (records, tail) = body.as_chunks::<RECORD_LEN>();
+    if !tail.is_empty() {
         return Err(EventError::MalformedAer {
             reason: "truncated record".into(),
         });
     }
     let geometry = SensorGeometry::new(width, height);
-    let mut events = Vec::with_capacity(body.len() / RECORD_LEN);
-    let mut t = Timestamp::from_micros(base);
-    for rec in body.chunks_exact(RECORD_LEN) {
-        let x = u16::from_le_bytes(rec[0..2].try_into().expect("2 bytes"));
-        let y = u16::from_le_bytes(rec[2..4].try_into().expect("2 bytes"));
-        let packed = u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"));
+    let mut events = Vec::with_capacity(records.len());
+    let mut t = Timestamp::from_micros(u64::from_le_bytes(base));
+    for &[x0, x1, y0, y1, p0, p1, p2, p3] in records {
+        let packed = u32::from_le_bytes([p0, p1, p2, p3]);
         let polarity = Polarity::from_bit(packed >> 31 == 1);
         let delta = packed & DELTA_MASK;
         t += TimeDelta::from_micros(delta as i64);
-        events.push(Event::new(x, y, t, polarity));
+        events.push(Event::new(
+            u16::from_le_bytes([x0, x1]),
+            u16::from_le_bytes([y0, y1]),
+            t,
+            polarity,
+        ));
     }
     EventSlice::new(geometry, events)
 }

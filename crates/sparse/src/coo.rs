@@ -249,19 +249,36 @@ impl SparseTensor {
 
     /// Fraction of *spatial* sites `(row, col)` active in at least one
     /// channel — the event-frame fill ratio from the paper's Figure 3.
-    ///
-    /// Computed with a k-way merge over the per-channel runs (each already
-    /// sorted by `(row, col)`), so no intermediate site list is allocated —
-    /// this is DSFA's per-push density probe, a hot path.
     pub fn spatial_density(&self) -> f64 {
         self.count_active_sites() as f64 / (self.height * self.width) as f64
     }
 
     /// Number of distinct active spatial sites, without materializing them.
+    ///
+    /// Entries are sorted by `(channel, row, col)`, so each channel is a
+    /// sorted run of unique sites. A two-channel tensor (one polarity
+    /// pair, every E2SF frame and DSFA merge) counts its union with one
+    /// linear two-pointer pass over flat `row·W + col` keys; other channel
+    /// counts take a k-way merge over the run heads.
     pub fn count_active_sites(&self) -> usize {
-        // Entries are sorted by (channel, row, col): each channel is a
-        // sorted run of unique (row, col) sites. Count the union by
-        // repeatedly taking the minimum site across the run heads.
+        if self.channels == 2 {
+            let split = self.entries.partition_point(|e| e.channel == 0);
+            let (on, off) = self.entries.split_at(split);
+            let flat = |e: &SparseEntry| e.row as usize * self.width + e.col as usize;
+            let (mut i, mut j, mut shared) = (0, 0, 0);
+            while i < on.len() && j < off.len() {
+                let (a, b) = (flat(&on[i]), flat(&off[j]));
+                i += usize::from(a <= b);
+                j += usize::from(b <= a);
+                shared += usize::from(a == b);
+            }
+            return self.entries.len() - shared;
+        }
+        self.count_active_sites_kway()
+    }
+
+    fn count_active_sites_kway(&self) -> usize {
+        // Repeatedly take the minimum site across the run heads.
         let mut runs: Vec<(usize, usize)> = Vec::new(); // (cursor, end)
         let mut start = 0;
         for i in 1..=self.entries.len() {

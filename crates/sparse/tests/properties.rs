@@ -60,6 +60,24 @@ proptest! {
         prop_assert!(t.active_sites().len() <= t.nnz().max(1));
     }
 
+    /// The active-site counter (a two-pointer pass for one polarity
+    /// pair, a k-way merge otherwise) agrees with the sorted, deduplicated
+    /// site list for 1–6 channels, some of them empty.
+    #[test]
+    fn count_active_sites_matches_site_list(
+        channels in 1usize..=6,
+        live in prop::collection::vec(any::<bool>(), 6),
+        raw in prop::collection::vec((0u32..6, 0..H as u32, 0..W as u32, -4i8..=4), 0..80),
+    ) {
+        let entries = raw
+            .into_iter()
+            .filter(|&(c, ..)| (c as usize) < channels && live[c as usize])
+            .map(|(c, r, col, v)| SparseEntry::new(c, r, col, v as f32 * 0.5))
+            .collect();
+        let t = SparseTensor::from_entries(channels, H, W, entries).expect("in bounds");
+        prop_assert_eq!(t.count_active_sites(), t.active_sites().len());
+    }
+
     #[test]
     fn concat_preserves_total_nnz(a in arb_sparse(20), b in arb_sparse(20)) {
         let cat = SparseTensor::concat_channels(&[a.clone(), b.clone()]).expect("same shape");
