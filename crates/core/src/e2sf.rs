@@ -17,9 +17,9 @@
 
 use crate::frame::SparseFrame;
 use crate::EvEdgeError;
-use ev_core::event::{Event, Polarity};
+use ev_core::event::Event;
 use ev_core::stream::EventSlice;
-use ev_core::{TimeDelta, TimeWindow};
+use ev_core::TimeWindow;
 use ev_sparse::coo::{SparseEntry, SparseTensor};
 use ev_sparse::dense::Tensor;
 use ev_sparse::encode::{dense_to_sparse, EncodeStats};
@@ -165,8 +165,9 @@ impl E2sf {
     ///
     /// # Errors
     ///
-    /// Returns [`EvEdgeError::DegenerateInterval`] when the interval is
-    /// shorter than `nB` microseconds (bins would be empty of time).
+    /// Returns [`EvEdgeError::DegenerateInterval`] when `nB` is zero or
+    /// the interval is shorter than `nB` microseconds (bins would be
+    /// empty of time).
     pub fn convert(
         &self,
         events: &EventSlice,
@@ -182,8 +183,9 @@ impl E2sf {
     ///
     /// # Errors
     ///
-    /// Returns [`EvEdgeError::DegenerateInterval`] when the interval is
-    /// shorter than `nB` microseconds (bins would be empty of time).
+    /// Returns [`EvEdgeError::DegenerateInterval`] when `nB` is zero or
+    /// the interval is shorter than `nB` microseconds (bins would be
+    /// empty of time).
     pub fn convert_with(
         &self,
         events: &EventSlice,
@@ -192,7 +194,9 @@ impl E2sf {
     ) -> Result<Vec<SparseFrame>, EvEdgeError> {
         let nb = self.config.bins_per_interval;
         let total_us = interval.duration().as_micros();
-        if total_us < nb as i64 {
+        // `nb == 0` reaches here through the public fields (or serde),
+        // bypassing `E2sfConfig::new`'s assert.
+        if nb == 0 || total_us < nb as i64 {
             return Err(EvEdgeError::DegenerateInterval { interval, bins: nb });
         }
         let geometry = events.geometry();
@@ -337,24 +341,10 @@ pub fn dense_frame_baseline(
     })
 }
 
-/// Polarity of a channel index (inverse of [`Polarity::channel`]).
-pub fn channel_polarity(channel: u32) -> Polarity {
-    if channel.is_multiple_of(2) {
-        Polarity::On
-    } else {
-        Polarity::Off
-    }
-}
-
-/// The time resolution one bin represents for an interval.
-pub fn bin_duration(interval: TimeWindow, bins: usize) -> TimeDelta {
-    TimeDelta::from_micros(interval.duration().as_micros() / bins.max(1) as i64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::event::{Event, SensorGeometry};
+    use ev_core::event::{Event, Polarity, SensorGeometry};
     use ev_core::Timestamp;
 
     fn ev(x: u16, y: u16, t_us: u64, p: Polarity) -> Event {
@@ -519,6 +509,16 @@ mod tests {
             e2sf.convert(&events, tiny),
             Err(EvEdgeError::DegenerateInterval { .. })
         ));
+        // Zero bins, set through the public fields that bypass
+        // `E2sfConfig::new`'s assert, is an error too, not a panic.
+        let zero = E2sf::new(E2sfConfig {
+            bins_per_interval: 0,
+            ..E2sfConfig::default()
+        });
+        assert!(matches!(
+            zero.convert(&events, interval_ms(0, 20)),
+            Err(EvEdgeError::DegenerateInterval { bins: 0, .. })
+        ));
     }
 
     #[test]
@@ -534,15 +534,5 @@ mod tests {
         assert_eq!(frames.len(), 4);
         assert_eq!(frames[0].event_count(), 1);
         assert_eq!(frames[2].event_count(), 1);
-    }
-
-    #[test]
-    fn helpers() {
-        assert_eq!(channel_polarity(0), Polarity::On);
-        assert_eq!(channel_polarity(1), Polarity::Off);
-        assert_eq!(
-            bin_duration(interval_ms(0, 20), 4),
-            TimeDelta::from_millis(5)
-        );
     }
 }

@@ -66,11 +66,6 @@ impl<T: Ord> EventClock<T> {
         Some((at, item))
     }
 
-    /// The timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|Reverse((at, _))| *at)
-    }
-
     /// Pending event count.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -82,17 +82,14 @@ impl EngineReport {
 /// front door trips its watermark on these).
 ///
 /// Deliberately narrower than the engine: a load probe answers "how
-/// much device time is booked and how many jobs have landed", nothing
-/// else, so an admission policy can be tested against a fake probe.
+/// much device time is booked", nothing else, so an admission policy
+/// can be tested against a fake probe.
 pub trait LoadProbe {
     /// Number of device (PE) queues behind the engine.
     fn device_queues(&self) -> usize;
 
     /// Busy time summed over every device queue.
     fn device_busy_total(&self) -> TimeDelta;
-
-    /// Jobs completed summed over every device queue.
-    fn device_completed_total(&self) -> u64;
 
     /// Mean per-queue utilization over `elapsed` simulated time:
     /// `device_busy_total / (device_queues × elapsed)`, `0.0` before
@@ -115,10 +112,6 @@ impl LoadProbe for ExecEngine {
 
     fn device_busy_total(&self) -> TimeDelta {
         self.timeline.total_busy()
-    }
-
-    fn device_completed_total(&self) -> u64 {
-        self.timeline.total_completed()
     }
 }
 
@@ -319,11 +312,6 @@ impl ExecEngine {
         self.task_free[task]
     }
 
-    /// Completion time of the last dispatched job.
-    pub fn makespan_end(&self) -> Timestamp {
-        self.makespan_end
-    }
-
     /// Closes the run: charges `static_power_w` over the makespan and
     /// produces the unified report.
     pub fn finish(self, static_power_w: f64) -> EngineReport {
@@ -470,7 +458,6 @@ mod tests {
         engine.submit(0, JobInput::arrival(ms(0)));
         engine.drain(0, &mut model).unwrap();
         assert_eq!(engine.device_busy_total(), TimeDelta::from_millis(60));
-        assert_eq!(engine.device_completed_total(), 2);
         // 60 ms booked over 2 queues × 30 ms elapsed → saturated.
         let u = engine.device_utilization(TimeDelta::from_millis(30));
         assert!((u - 1.0).abs() < 1e-12);

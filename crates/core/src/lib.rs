@@ -52,13 +52,11 @@ pub mod queue;
 
 /// The streaming execution core shared by every runtime: the
 /// discrete-event clock, the job model, the dispatch/accounting engine
-/// over one device timeline, composable frontend stages, the host
-/// worker pool that fans out NMP search work, and the checker that
-/// holds a re-ordered schedule to the serial engine's job set.
+/// over one device timeline, the DSFA frontend stage, and the host
+/// worker pool that fans out NMP search work.
 pub mod exec {
     pub mod clock;
     pub mod engine;
-    pub mod equivalence;
     pub mod job;
     pub mod parallel;
     pub mod stage;
@@ -69,7 +67,7 @@ pub mod exec {
         BatchCostModel, JobInput, JobModel, JobRecord, MappedJobModel, SchedGraphBuilder,
     };
     pub use parallel::{parallel_map, parallel_try_map};
-    pub use stage::{Compose, DirectStage, DsfaStage, E2sfStage, Stage};
+    pub use stage::{DsfaStage, Stage};
 }
 
 /// The Network Mapper, its baselines, and the configuration-sweep
@@ -88,9 +86,7 @@ pub mod nmp {
         run_cells, run_sweep, task_spec_for, PlatformPreset, SearchAlgorithm, SweepCell,
         SweepCellReport, SweepReport, SweepSpec, TaskMix, ZooPreset,
     };
-    pub use tune::{
-        rank_cells, AutoTuner, CellObjective, TuneObjective, TuneReport, TuneSelection,
-    };
+    pub use tune::{rank_cells, AutoTuner, TuneObjective, TuneReport, TuneSelection};
 }
 
 pub use corner::{Corner, CornerConfig, CornerDetector};
@@ -110,7 +106,8 @@ use ev_platform::pe::PeId;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum EvEdgeError {
-    /// An E2SF interval is too short for the requested bin count.
+    /// An E2SF interval is too short for the requested bin count, or
+    /// the bin count is zero.
     DegenerateInterval {
         /// The interval.
         interval: TimeWindow,

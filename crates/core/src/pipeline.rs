@@ -6,9 +6,9 @@
 //! driven early dispatch. Variants peel the optimizations apart exactly as
 //! the paper's Figure 8 does: dense all-GPU baseline, +E2SF, +DSFA, +NMP.
 //!
-//! Execution runs on the unified [`crate::exec`] core: frames flow
-//! through an [`E2sfStage`] and a [`DsfaStage`] (or [`DirectStage`])
-//! into the [`ExecEngine`], whose [`BatchCostModel`] treats the whole
+//! Execution runs on the unified [`crate::exec`] core: frames from
+//! [`E2sf`] flow through a [`DsfaStage`] (or one job per frame without
+//! DSFA) into the [`ExecEngine`], whose [`BatchCostModel`] treats the whole
 //! platform as one FIFO resource occupied by each job's scheduled critical-path
 //! duration (candidate mappings may spread layers over several
 //! elements); energy counts busy energy plus always-on static power.
@@ -17,16 +17,17 @@
 //! DSFA aggregation term of the accuracy model.
 
 use crate::dsfa::DsfaConfig;
-use crate::e2sf::E2sfConfig;
-use crate::exec::engine::{EngineReport, ExecEngine};
-use crate::exec::job::{BatchCostModel, JobModel, SchedGraphBuilder};
-use crate::exec::stage::{DirectStage, DsfaStage, E2sfStage, Stage};
+use crate::e2sf::{E2sf, E2sfConfig, E2sfScratch};
+use crate::exec::engine::ExecEngine;
+use crate::exec::job::{BatchCostModel, JobInput, JobModel, SchedGraphBuilder};
+use crate::exec::stage::{DsfaStage, Stage};
 use crate::nmp::candidate::{Assignment, Candidate};
 use crate::nmp::evolution::{run_nmp, NmpConfig};
 use crate::nmp::fitness::FitnessConfig;
 use crate::nmp::multitask::{MultiTaskProblem, TaskSpec};
 use crate::EvEdgeError;
-use ev_core::{TimeDelta, TimeWindow};
+use ev_core::stream::EventSlice;
+use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_datasets::mvsec::Sequence;
 use ev_datasets::representation::representation_for;
 use ev_nn::graph::{LayerWorkload, NetworkGraph};
@@ -224,7 +225,7 @@ pub fn run_single_task(
     let workloads = graph.workloads();
     let accuracy = setup.network.accuracy_model();
 
-    // 1. Capture; the converter runs as a stage below.
+    // 1. Capture; the converter runs interval by interval below.
     let events = setup.sequence.generate(setup.window)?;
     let intervals = setup.sequence.frame_intervals(setup.window);
     let bins = options
@@ -265,8 +266,8 @@ pub fn run_single_task(
         }
     };
 
-    // 3. Execute jobs over simulated time: E2SF stage → DSFA/direct
-    // stage → engine. The whole platform is one FIFO resource to the job
+    // 3. Execute jobs over simulated time: E2SF → DSFA (or one job per
+    // frame) → engine. The whole platform is one FIFO resource to the job
     // model; DSFA's early-dispatch rule consumes the engine's idleness
     // signal.
     // Capacity bounds nothing here — every job is serviced on submission,
@@ -286,16 +287,23 @@ pub fn run_single_task(
     });
     let start = setup.window.start();
     let static_power_w = setup.platform.static_power_w;
-    let engine = ExecEngine::new(start, DeviceTimeline::new(1), 1, queue_capacity)?;
-    let (frame_count, aggregation, report) = drive_single_task(
-        engine.with_job_records(),
+    let mut engine =
+        ExecEngine::new(start, DeviceTimeline::new(1), 1, queue_capacity)?.with_job_records();
+    let dsfa = if options.variant.uses_dsfa() {
+        Some(DsfaStage::new(options.dsfa)?)
+    } else {
+        None
+    };
+    let (frame_count, aggregation) = drive_single_task(
+        &mut engine,
         &mut model,
-        E2sfStage::new(E2sfConfig::new(bins), events),
+        &E2sf::new(E2sfConfig::new(bins)),
+        &events,
         &intervals,
-        options,
-        setup.window,
-        static_power_w,
+        dsfa,
+        setup.window.end(),
     )?;
+    let report = engine.finish(static_power_w);
 
     // 4. Accuracy estimate.
     let shares =
@@ -325,61 +333,56 @@ pub fn run_single_task(
 }
 
 /// Drives the single-task frame loop: E2SF conversion interval by
-/// interval, the optional DSFA aggregation with its §4.2
-/// hardware-availability gate, job submission and draining. Returns
-/// `(frames, aggregation aggressiveness, report)`.
+/// interval, then either DSFA aggregation with its §4.2
+/// hardware-availability gate or one single-frame job per frame, each
+/// job submitted and serviced at once. Returns `(frames, aggregation
+/// aggressiveness)`.
 fn drive_single_task(
-    mut engine: ExecEngine,
+    engine: &mut ExecEngine,
     model: &mut dyn JobModel,
-    mut e2sf: E2sfStage,
+    e2sf: &E2sf,
+    events: &EventSlice,
     intervals: &[TimeWindow],
-    options: &PipelineOptions,
-    window: TimeWindow,
-    static_power_w: f64,
-) -> Result<(usize, f64, EngineReport), EvEdgeError> {
-    let mut frame_count = 0usize;
-    let aggregation = if options.variant.uses_dsfa() {
-        // DSFA needs the per-frame hardware-availability gate between
-        // the stages, so the driver interleaves them by hand.
-        let mut dsfa = DsfaStage::new(options.dsfa)?;
-        for interval in intervals {
-            for frame in e2sf.push(*interval)? {
-                frame_count += 1;
-                let ready = frame.ready_at();
-                // Early dispatch when the hardware is already idle (§4.2).
-                if engine.task_idle_at(0, ready) {
-                    for job in dsfa.flush(ready)? {
-                        engine.submit(0, job);
-                        engine.drain(0, model)?;
-                    }
-                }
-                for job in dsfa.push(frame)? {
-                    engine.submit(0, job);
-                    engine.drain(0, model)?;
-                }
-            }
-        }
-        let tail = engine.task_free_at(0).max(window.end());
-        for job in dsfa.flush(tail)? {
+    mut dsfa: Option<DsfaStage>,
+    window_end: Timestamp,
+) -> Result<(usize, f64), EvEdgeError> {
+    let mut run = |engine: &mut ExecEngine, jobs: Vec<JobInput>| -> Result<(), EvEdgeError> {
+        for job in jobs {
             engine.submit(0, job);
             engine.drain(0, model)?;
         }
-        dsfa.aggregation_aggressiveness()
-    } else {
-        // No aggregation state between frames: one job per frame.
-        let mut direct = DirectStage;
-        for interval in intervals {
-            for frame in e2sf.push(*interval)? {
-                frame_count += 1;
-                for job in direct.push(frame)? {
-                    engine.submit(0, job);
-                    engine.drain(0, model)?;
-                }
-            }
-        }
-        0.0
+        Ok(())
     };
-    Ok((frame_count, aggregation, engine.finish(static_power_w)))
+    let mut scratch = E2sfScratch::new();
+    let mut frame_count = 0usize;
+    for interval in intervals {
+        for frame in e2sf.convert_with(events, *interval, &mut scratch)? {
+            frame_count += 1;
+            let ready = frame.ready_at();
+            let jobs = match dsfa.as_mut() {
+                Some(dsfa) => {
+                    // Early dispatch when the hardware is already idle (§4.2).
+                    if engine.task_idle_at(0, ready) {
+                        run(engine, dsfa.flush(ready)?)?;
+                    }
+                    dsfa.push(frame)?
+                }
+                None => vec![JobInput {
+                    ready,
+                    batch: 1,
+                    density: frame.spatial_density(),
+                    events: frame.event_count(),
+                }],
+            };
+            run(engine, jobs)?;
+        }
+    }
+    let Some(mut dsfa) = dsfa else {
+        return Ok((frame_count, 0.0));
+    };
+    let tail = engine.task_free_at(0).max(window_end);
+    run(engine, dsfa.flush(tail)?)?;
+    Ok((frame_count, dsfa.aggregation_aggressiveness()))
 }
 
 /// Models one inference job under a mapping: per-layer roofline costs,
@@ -431,7 +434,6 @@ fn inference_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ev_core::Timestamp;
     use ev_datasets::mvsec::SequenceId;
 
     fn setup(network: NetworkId) -> PipelineSetup {

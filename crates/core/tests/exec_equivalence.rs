@@ -1,14 +1,11 @@
 //! Engine equivalence: the multi-task runtime is the unified exec
-//! engine — a single-task problem run through `run_multi_task_runtime`
-//! must produce exactly the counts, latencies, energy and makespan of
-//! the same workload driven through `ExecEngine` directly — and the
-//! `ev_edge::exec::equivalence` checker, which holds a re-ordered
-//! schedule to the serial engine's job set, rejects perturbed runs.
+//! engine — a problem run through `run_multi_task_runtime` must produce
+//! exactly the counts, latencies, energy and makespan of the same
+//! workload driven through `ExecEngine` directly.
 
 use ev_core::{TimeDelta, TimeWindow, Timestamp};
 use ev_edge::exec::clock::EventClock;
 use ev_edge::exec::engine::{EngineReport, ExecEngine};
-use ev_edge::exec::equivalence::{check_job_records, check_reports, EquivalenceError};
 use ev_edge::exec::job::{JobInput, MappedJobModel};
 use ev_edge::multipipe::{run_multi_task_runtime, MultiTaskRuntimeConfig};
 use ev_edge::nmp::baseline;
@@ -76,34 +73,48 @@ fn periodic_by_hand(
 
 #[test]
 fn single_task_through_multi_runtime_matches_unified_engine() {
-    let problem = single_task_problem();
-    let candidate = baseline::rr_network(&problem);
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(80));
-    let period = TimeDelta::from_millis(3);
-    let config = MultiTaskRuntimeConfig::new(window);
+    let ms = TimeDelta::from_millis;
+    let single = single_task_problem();
+    let three = three_task_problem();
+    // (problem, candidate, periods, window): one lightly loaded task,
+    // and three tasks under RR-Layer that overload their queues.
+    let inputs = [
+        (&single, baseline::rr_network(&single), vec![ms(3)], 80),
+        (
+            &three,
+            baseline::rr_layer(&three),
+            vec![ms(3), ms(5), ms(7)],
+            60,
+        ),
+    ];
+    for (problem, candidate, periods, window_ms) in inputs {
+        let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(window_ms));
+        let config = MultiTaskRuntimeConfig::new(window);
 
-    let multi = run_multi_task_runtime(&problem, &candidate, &[period], config).unwrap();
-    let single = periodic_by_hand(
-        &problem,
-        &candidate,
-        window,
-        &[period],
-        config.queue_capacity,
-    );
+        let multi = run_multi_task_runtime(problem, &candidate, &periods, config).unwrap();
+        let by_hand =
+            periodic_by_hand(problem, &candidate, window, &periods, config.queue_capacity);
 
-    // Identical counts, latencies, makespan, energy and utilization.
-    assert_eq!(multi.per_task.len(), 1);
-    let m = &multi.per_task[0];
-    let s = &single.per_task[0];
-    assert!(m.completed > 0, "workload must execute inferences");
-    assert_eq!(m.arrivals, s.arrivals);
-    assert_eq!(m.completed, s.completed);
-    assert_eq!(m.dropped, s.dropped);
-    assert_eq!(m.mean_latency, s.mean_latency);
-    assert_eq!(m.max_latency, s.max_latency);
-    assert_eq!(multi.makespan, single.makespan);
-    assert_eq!(multi.energy, single.energy);
-    assert_eq!(multi.utilization, single.utilization);
+        // Identical counts, latencies, makespan, energy and utilization.
+        assert_eq!(multi.per_task.len(), periods.len());
+        for (m, s) in multi.per_task.iter().zip(&by_hand.per_task) {
+            assert!(m.completed > 0, "workload must execute inferences");
+            assert_eq!(m.arrivals, s.arrivals);
+            assert_eq!(m.completed, s.completed);
+            assert_eq!(m.dropped, s.dropped);
+            assert_eq!(m.mean_latency, s.mean_latency);
+            assert_eq!(m.max_latency, s.max_latency);
+        }
+        assert_eq!(multi.makespan, by_hand.makespan);
+        assert_eq!(multi.energy, by_hand.energy);
+        assert_eq!(multi.utilization, by_hand.utilization);
+        if periods.len() > 1 {
+            assert!(
+                multi.per_task.iter().all(|t| t.dropped > 0),
+                "the three-task input must drop on every task"
+            );
+        }
+    }
 }
 
 #[test]
@@ -131,60 +142,6 @@ fn overloaded_single_task_drops_identically() {
         multi.per_task[0].mean_latency,
         single.per_task[0].mean_latency
     );
-}
-
-/// The checker itself must reject broken schedules: a dropped job, a
-/// mutated payload and an inflated latency — each perturbation applied
-/// to a *real* serial run — surface as the right error, while a second
-/// run of the same workload passes.
-#[test]
-fn checker_rejects_perturbed_schedules() {
-    let problem = three_task_problem();
-    let candidate = baseline::rr_layer(&problem);
-    let periods = [
-        TimeDelta::from_millis(3),
-        TimeDelta::from_millis(5),
-        TimeDelta::from_millis(7),
-    ];
-    let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_millis(60));
-    let serial = periodic_by_hand(&problem, &candidate, window, &periods, 2);
-    let rerun = periodic_by_hand(&problem, &candidate, window, &periods, 2);
-    let tasks = problem.tasks().len();
-    assert!(!serial.jobs.is_empty());
-    check_job_records(&serial.jobs, &rerun.jobs, tasks).unwrap();
-    check_reports(&serial, &rerun).unwrap();
-
-    // A dropped job.
-    let mut dropped = rerun.jobs.clone();
-    dropped.pop().unwrap();
-    assert!(matches!(
-        check_job_records(&serial.jobs, &dropped, tasks),
-        Err(EquivalenceError::JobCountMismatch { .. })
-    ));
-
-    // A mutated per-job payload.
-    let mut mutated = rerun.jobs.clone();
-    mutated[0].events += 1;
-    assert!(matches!(
-        check_job_records(&serial.jobs, &mutated, tasks),
-        Err(EquivalenceError::PayloadMismatch { .. })
-    ));
-
-    // An inflated per-job completion (pushed past any serial end).
-    let mut inflated = rerun.jobs.clone();
-    inflated[0].end += TimeDelta::from_millis(10_000);
-    assert!(matches!(
-        check_job_records(&serial.jobs, &inflated, tasks),
-        Err(EquivalenceError::JobLatencyRegression { .. })
-    ));
-
-    // An inflated aggregate latency at report level.
-    let mut slower = rerun.clone();
-    slower.per_task[0].max_latency = serial.per_task[0].max_latency + TimeDelta::from_micros(1);
-    assert!(matches!(
-        check_reports(&serial, &slower),
-        Err(EquivalenceError::MaxLatencyRegression { .. })
-    ));
 }
 
 #[test]

@@ -31,7 +31,6 @@ use ev_core::{TimeDelta, Timestamp};
 pub struct DeviceTimeline {
     free_at: Vec<Timestamp>,
     busy: Vec<TimeDelta>,
-    completed: Vec<u64>,
 }
 
 impl DeviceTimeline {
@@ -45,7 +44,6 @@ impl DeviceTimeline {
         DeviceTimeline {
             free_at: vec![Timestamp::ZERO; queues],
             busy: vec![TimeDelta::ZERO; queues],
-            completed: vec![0; queues],
         }
     }
 
@@ -104,7 +102,6 @@ impl DeviceTimeline {
         let end = start + duration;
         *free = end;
         self.busy[queue] += duration;
-        self.completed[queue] += 1;
         Ok(end)
     }
 
@@ -175,45 +172,9 @@ impl DeviceTimeline {
         Ok(slots)
     }
 
-    /// When `queue` becomes free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlatformError::InvalidQueue`] for out-of-range queues.
-    pub fn free_at(&self, queue: usize) -> Result<Timestamp, PlatformError> {
-        self.free_at
-            .get(queue)
-            .copied()
-            .ok_or(PlatformError::InvalidQueue {
-                node: 0,
-                queue,
-                queues: self.free_at.len(),
-            })
-    }
-
-    /// Whether any queue is idle at `time`.
-    pub fn any_idle_at(&self, time: Timestamp) -> bool {
-        self.free_at.iter().any(|f| *f <= time)
-    }
-
-    /// The queue that frees up first, with its free time.
-    pub fn next_free(&self) -> (usize, Timestamp) {
-        self.free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(q, t)| (q, *t))
-            .expect("timeline has at least one queue")
-    }
-
     /// Busy time accumulated on `queue`.
     pub fn busy_time(&self, queue: usize) -> TimeDelta {
         self.busy.get(queue).copied().unwrap_or(TimeDelta::ZERO)
-    }
-
-    /// Jobs completed on `queue`.
-    pub fn completed_jobs(&self, queue: usize) -> u64 {
-        self.completed.get(queue).copied().unwrap_or(0)
     }
 
     /// Utilization of `queue` over `[0, horizon)`.
@@ -235,11 +196,6 @@ impl DeviceTimeline {
     pub fn total_busy(&self) -> TimeDelta {
         self.busy.iter().fold(TimeDelta::ZERO, |acc, &b| acc + b)
     }
-
-    /// Jobs completed summed over every queue.
-    pub fn total_completed(&self) -> u64 {
-        self.completed.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +213,6 @@ mod tests {
         assert_eq!(tl.earliest_start(0, ms(2)).unwrap(), ms(10));
         let end = tl.reserve(0, ms(10), TimeDelta::from_millis(5)).unwrap();
         assert_eq!(end, ms(15));
-        assert_eq!(tl.completed_jobs(0), 2);
     }
 
     #[test]
@@ -268,17 +223,6 @@ mod tests {
             tl.reserve(0, ms(5), TimeDelta::from_millis(1)),
             Err(PlatformError::ReservationConflict { .. })
         ));
-    }
-
-    #[test]
-    fn idle_and_next_free() {
-        let mut tl = DeviceTimeline::new(2);
-        tl.reserve(0, ms(0), TimeDelta::from_millis(20)).unwrap();
-        assert!(tl.any_idle_at(ms(5))); // queue 1 idle
-        tl.reserve(1, ms(0), TimeDelta::from_millis(30)).unwrap();
-        assert!(!tl.any_idle_at(ms(5)));
-        let (q, t) = tl.next_free();
-        assert_eq!((q, t), (0, ms(20)));
     }
 
     #[test]
@@ -293,7 +237,6 @@ mod tests {
         tl.reserve(0, ms(0), TimeDelta::from_millis(25)).unwrap();
         tl.reserve(1, ms(0), TimeDelta::from_millis(75)).unwrap();
         assert_eq!(tl.total_busy(), TimeDelta::from_millis(100));
-        assert_eq!(tl.total_completed(), 2);
         let u = tl.utilizations(TimeDelta::from_millis(100));
         assert_eq!(u.len(), 2);
         assert!((u[0] - 0.25).abs() < 1e-9 && (u[1] - 0.75).abs() < 1e-9);
@@ -303,7 +246,6 @@ mod tests {
     fn invalid_queue_errors() {
         let tl = DeviceTimeline::new(1);
         assert!(tl.earliest_start(3, ms(0)).is_err());
-        assert!(tl.free_at(3).is_err());
     }
 
     #[test]

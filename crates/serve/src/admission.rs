@@ -78,9 +78,6 @@ mod tests {
         fn device_busy_total(&self) -> TimeDelta {
             self.busy
         }
-        fn device_completed_total(&self) -> u64 {
-            0
-        }
     }
 
     #[test]
