@@ -17,10 +17,10 @@
 //! | `conformance` | All of the above, as declarative `specs/*.json` |
 //!
 //! Each binary accepts `--quick` (reduced budget) and `--json <path>`
-//! (machine-readable artifact). Criterion micro-benchmarks live in
-//! `benches/`. The [`conformance`] module pins every artifact claim as
-//! a data-driven spec; `./kick-tires.sh` at the repo root reproduces
-//! everything in one command.
+//! (machine-readable artifact). Host-time measurement lives in the
+//! separate `perfbench` crate. The [`conformance`] module pins every
+//! artifact claim as a data-driven spec; `./kick-tires.sh` at the repo
+//! root reproduces everything in one command.
 
 #![warn(missing_docs)]
 

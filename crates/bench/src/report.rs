@@ -1,6 +1,6 @@
 //! Plain-text tables and JSON artifacts for experiment binaries.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::Write;
 use std::path::Path;
 
@@ -147,84 +147,6 @@ impl CommonArgs {
     }
 }
 
-/// One benchmark's timing statistics, as emitted by the vendored
-/// criterion harness's `CRITERION_JSON` channel (one JSON line per
-/// benchmark, all durations in nanoseconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Full benchmark name, `group/function/parameter`.
-    pub name: String,
-    /// Fastest sample.
-    pub min_ns: u64,
-    /// True median sample.
-    pub median_ns: u64,
-    /// Mean over all iterations.
-    pub mean_ns: u64,
-    /// Slowest sample.
-    pub max_ns: u64,
-}
-
-impl BenchRecord {
-    /// The benchmark's group: the name segment before the first `/`.
-    pub fn group(&self) -> &str {
-        self.name.split('/').next().unwrap_or(&self.name)
-    }
-}
-
-/// The hot-path summary of one criterion group: every benchmark's
-/// median plus the group's median-of-medians.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GroupSummary {
-    /// Group name (`e2sf`, `dsfa`, ...).
-    pub group: String,
-    /// Median of the group's benchmark medians, in microseconds.
-    pub median_us: f64,
-    /// Per-benchmark records, in emission order.
-    pub benchmarks: Vec<BenchRecord>,
-}
-
-/// Parses the JSON-lines output of a `CRITERION_JSON=<path>` bench run.
-///
-/// # Errors
-///
-/// Returns the underlying JSON error for a malformed line.
-pub fn parse_bench_records(jsonl: &str) -> Result<Vec<BenchRecord>, serde_json::Error> {
-    jsonl
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
-}
-
-/// Groups records by their name prefix and computes each group's
-/// median-of-medians, preserving first-seen group order.
-pub fn summarize_groups(records: &[BenchRecord]) -> Vec<GroupSummary> {
-    let mut groups: Vec<GroupSummary> = Vec::new();
-    for record in records {
-        let name = record.group().to_string();
-        match groups.iter_mut().find(|g| g.group == name) {
-            Some(group) => group.benchmarks.push(record.clone()),
-            None => groups.push(GroupSummary {
-                group: name,
-                median_us: 0.0,
-                benchmarks: vec![record.clone()],
-            }),
-        }
-    }
-    for group in &mut groups {
-        let mut medians: Vec<u64> = group.benchmarks.iter().map(|b| b.median_ns).collect();
-        medians.sort_unstable();
-        let n = medians.len();
-        let median_ns = if n % 2 == 1 {
-            medians[n / 2] as f64
-        } else {
-            (medians[n / 2 - 1] + medians[n / 2]) as f64 / 2.0
-        };
-        group.median_us = median_ns / 1e3;
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,27 +170,6 @@ mod tests {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.row(["only"]);
         assert!(t.render().contains("only"));
-    }
-
-    #[test]
-    fn bench_records_parse_and_summarize() {
-        let jsonl = concat!(
-            "{\"name\":\"e2sf/direct_sparse/50k\",\"min_ns\":100,\"median_ns\":3000,\"mean_ns\":3500,\"max_ns\":9000}\n",
-            "\n",
-            "{\"name\":\"e2sf/direct_sparse/300k\",\"min_ns\":200,\"median_ns\":1000,\"mean_ns\":1100,\"max_ns\":2000}\n",
-            "{\"name\":\"dsfa/push_stream/cAdd\",\"min_ns\":5,\"median_ns\":7,\"mean_ns\":8,\"max_ns\":20}\n",
-        );
-        let records = parse_bench_records(jsonl).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(records[0].group(), "e2sf");
-        let groups = summarize_groups(&records);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].group, "e2sf");
-        // Even count: mean of the two middle medians (3000, 1000) → 2 µs.
-        assert!((groups[0].median_us - 2.0).abs() < 1e-12);
-        assert_eq!(groups[1].group, "dsfa");
-        assert!((groups[1].median_us - 0.007).abs() < 1e-12);
-        assert!(parse_bench_records("not json").is_err());
     }
 
     #[test]

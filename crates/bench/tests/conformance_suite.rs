@@ -1,6 +1,6 @@
 //! Runs the shipped conformance suite (`specs/*.json`) under `cargo
 //! test`, and pins the runner's own guarantees: worker-count
-//! byte-identity, fig/table coverage, per-field diffs on failure, and
+//! byte-identity, per-binary spec coverage, per-field diffs on failure, and
 //! `UPDATE_GOLDEN=1` regeneration.
 //!
 //! To regenerate the golden snapshots after an intentional change:
@@ -110,11 +110,11 @@ fn suite_report_is_byte_identical_across_worker_counts() {
     );
 }
 
-/// Every `fig*`/`table*` experiment binary is covered by at least one
-/// spec — adding a figure binary without a conformance spec is a test
+/// Every binary except the `conformance` runner itself is covered by at
+/// least one spec — adding a binary without a conformance spec is a test
 /// failure, not a silent gap.
 #[test]
-fn every_fig_and_table_bin_is_covered_by_a_spec() {
+fn every_bin_except_the_runner_is_covered_by_a_spec() {
     let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
     let specs = discover_specs(&specs_dir()).expect("specs directory parses");
     let mut uncovered = Vec::new();
@@ -126,15 +126,13 @@ fn every_fig_and_table_bin_is_covered_by_a_spec() {
             .expect("rs file")
             .to_string_lossy()
             .into_owned();
-        if (name.starts_with("fig") || name.starts_with("table"))
-            && !specs.iter().any(|s| s.bin == name)
-        {
+        if name != "conformance" && !specs.iter().any(|s| s.bin == name) {
             uncovered.push(name);
         }
     }
     assert!(
         uncovered.is_empty(),
-        "fig/table binaries without a conformance spec: {uncovered:?}"
+        "binaries without a conformance spec: {uncovered:?}"
     );
 }
 

@@ -313,8 +313,8 @@ pub struct DenseFramePath {
 }
 
 /// Builds one bin the conventional way: accumulate into a dense frame,
-/// then encode to sparse. Used by benches to quantify the overhead E2SF
-/// avoids.
+/// then encode to sparse. Its encode statistics quantify the overhead
+/// E2SF avoids, and its output is the reference E2SF is checked against.
 ///
 /// # Errors
 ///

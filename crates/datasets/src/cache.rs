@@ -76,7 +76,7 @@ impl SequenceCache {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::Cache`] on I/O or decode failures, and
+    /// Returns [`DatasetError::Cache`] on I/O, encode or decode failures, and
     /// propagates generation errors.
     pub fn load_or_generate(
         &self,
@@ -98,7 +98,9 @@ impl SequenceCache {
             .map_err(|e| DatasetError::Cache {
                 reason: format!("generate {}: {e}", id.name()),
             })?;
-        let bytes = aer::encode(&slice);
+        let bytes = aer::encode(&slice).map_err(|e| DatasetError::Cache {
+            reason: format!("encode {}: {e}", id.name()),
+        })?;
         std::fs::write(&path, &bytes).map_err(|e| DatasetError::Cache {
             reason: format!("write {}: {e}", path.display()),
         })?;

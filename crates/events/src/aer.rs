@@ -20,6 +20,12 @@ const DELTA_MASK: u32 = 0x7FFF_FFFF;
 
 /// Encodes an [`EventSlice`] into the binary AER format.
 ///
+/// # Errors
+///
+/// Returns [`EventError::AerDeltaOverflow`] when two consecutive events
+/// are more than 2³¹−1 µs (~35.8 min) apart: the 31-bit delta field
+/// cannot hold the gap, and the stream would decode to different times.
+///
 /// # Examples
 ///
 /// ```
@@ -31,13 +37,13 @@ const DELTA_MASK: u32 = 0x7FFF_FFFF;
 /// # fn main() -> Result<(), ev_core::EventError> {
 /// let g = SensorGeometry::new(8, 8);
 /// let s = EventSlice::new(g, vec![Event::new(1, 2, Timestamp::from_micros(3), Polarity::On)])?;
-/// let bytes = aer::encode(&s);
+/// let bytes = aer::encode(&s)?;
 /// let back = aer::decode(&bytes)?;
 /// assert_eq!(back, s);
 /// # Ok(())
 /// # }
 /// ```
-pub fn encode(slice: &EventSlice) -> Vec<u8> {
+pub fn encode(slice: &EventSlice) -> Result<Vec<u8>, EventError> {
     let g = slice.geometry();
     let base = slice.first_timestamp().unwrap_or(Timestamp::ZERO);
     let mut out = Vec::with_capacity(HEADER_LEN + RECORD_LEN * slice.len());
@@ -47,21 +53,18 @@ pub fn encode(slice: &EventSlice) -> Vec<u8> {
     out.extend_from_slice(&base.as_micros().to_le_bytes());
 
     let mut prev = base;
-    for ev in slice.iter() {
-        let mut delta = ev.t.saturating_since(prev).as_micros() as u64;
-        // Deltas above 2^31-1 µs (~35.8 min) are split into filler records on
-        // the same pixel with alternating zero-payload? No — instead we clamp;
-        // realistic streams never exceed this between consecutive events.
-        if delta > DELTA_MASK as u64 {
-            delta = DELTA_MASK as u64;
+    for (index, ev) in slice.iter().enumerate() {
+        let delta_us = ev.t.saturating_since(prev).as_micros() as u64;
+        if delta_us > u64::from(DELTA_MASK) {
+            return Err(EventError::AerDeltaOverflow { index, delta_us });
         }
-        let packed: u32 = ((ev.polarity.as_bit() as u32) << 31) | (delta as u32);
+        let packed: u32 = ((ev.polarity.as_bit() as u32) << 31) | delta_us as u32;
         out.extend_from_slice(&ev.x.to_le_bytes());
         out.extend_from_slice(&ev.y.to_le_bytes());
         out.extend_from_slice(&packed.to_le_bytes());
-        prev = ev.t.min(prev + TimeDelta::from_micros(DELTA_MASK as i64));
+        prev = ev.t;
     }
-    out
+    Ok(out)
 }
 
 /// Decodes a binary AER stream produced by [`encode`].
@@ -69,7 +72,8 @@ pub fn encode(slice: &EventSlice) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`EventError::MalformedAer`] when the header or record framing is
-/// invalid, and propagates [`EventSlice::new`] validation errors.
+/// invalid, a timestamp overflows, or a record lies outside the header's
+/// geometry.
 pub fn decode(bytes: &[u8]) -> Result<EventSlice, EventError> {
     // Fixed-size array views type the framing: no byte range below can
     // be short, so no conversion needs a length check.
@@ -100,11 +104,15 @@ pub fn decode(bytes: &[u8]) -> Result<EventSlice, EventError> {
     let geometry = SensorGeometry::new(width, height);
     let mut events = Vec::with_capacity(records.len());
     let mut t = Timestamp::from_micros(u64::from_le_bytes(base));
-    for &[x0, x1, y0, y1, p0, p1, p2, p3] in records {
+    for (index, &[x0, x1, y0, y1, p0, p1, p2, p3]) in records.iter().enumerate() {
         let packed = u32::from_le_bytes([p0, p1, p2, p3]);
         let polarity = Polarity::from_bit(packed >> 31 == 1);
         let delta = packed & DELTA_MASK;
-        t += TimeDelta::from_micros(delta as i64);
+        t = t
+            .checked_add(TimeDelta::from_micros(delta as i64))
+            .ok_or_else(|| EventError::MalformedAer {
+                reason: format!("timestamp overflow at record {index}"),
+            })?;
         events.push(Event::new(
             u16::from_le_bytes([x0, x1]),
             u16::from_le_bytes([y0, y1]),
@@ -112,7 +120,11 @@ pub fn decode(bytes: &[u8]) -> Result<EventSlice, EventError> {
             polarity,
         ));
     }
-    EventSlice::new(geometry, events)
+    // Deltas are unsigned, so the events are sorted; the only check left
+    // is that every record lies inside the header's geometry.
+    EventSlice::new(geometry, events).map_err(|e| EventError::MalformedAer {
+        reason: e.to_string(),
+    })
 }
 
 #[cfg(test)]
@@ -133,7 +145,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_events() {
         let s = sample_slice();
-        let bytes = encode(&s);
+        let bytes = encode(&s).unwrap();
         let back = decode(&bytes).unwrap();
         assert_eq!(back, s);
     }
@@ -141,7 +153,7 @@ mod tests {
     #[test]
     fn empty_round_trip() {
         let s = EventSlice::empty(SensorGeometry::new(4, 4));
-        let back = decode(&encode(&s)).unwrap();
+        let back = decode(&encode(&s).unwrap()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.geometry(), s.geometry());
     }
@@ -156,7 +168,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = encode(&sample_slice());
+        let mut bytes = encode(&sample_slice()).unwrap();
         bytes[0] = b'X';
         assert!(matches!(
             decode(&bytes),
@@ -166,7 +178,7 @@ mod tests {
 
     #[test]
     fn rejects_truncated_record() {
-        let mut bytes = encode(&sample_slice());
+        let mut bytes = encode(&sample_slice()).unwrap();
         bytes.truncate(bytes.len() - 3);
         assert!(matches!(
             decode(&bytes),
@@ -177,15 +189,15 @@ mod tests {
     #[test]
     fn record_size_is_eight_bytes() {
         let s = sample_slice();
-        let bytes = encode(&s);
+        let bytes = encode(&s).unwrap();
         assert_eq!(bytes.len(), HEADER_LEN + 8 * s.len());
     }
 
     #[test]
-    fn huge_gaps_clamp_consistently() {
+    fn huge_gaps_are_rejected() {
         // Consecutive events 2 hours apart exceed the 31-bit delta; the
-        // encoder clamps, and the decoder reconstructs the clamped stream
-        // without violating time ordering.
+        // encoder names the offending event instead of writing a stream
+        // that decodes to different times.
         let g = SensorGeometry::new(8, 8);
         let s = EventSlice::new(
             g,
@@ -196,19 +208,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let back = decode(&encode(&s)).unwrap();
-        assert_eq!(back.len(), 3);
-        // First event exact; second clamped to base + 2^31-1 µs.
-        assert_eq!(back.as_events()[0].t, Timestamp::from_secs(1));
-        let clamped = Timestamp::from_secs(1) + TimeDelta::from_micros((DELTA_MASK) as i64);
-        assert_eq!(back.as_events()[1].t, clamped);
-        // The third event is still over 31 bits away from the clamped
-        // second, so its delta clamps too: order is preserved even though
-        // absolute times compressed.
-        assert!(back.as_events()[2].t >= back.as_events()[1].t);
         assert_eq!(
-            back.as_events()[2].t,
-            clamped + TimeDelta::from_micros(DELTA_MASK as i64),
+            encode(&s),
+            Err(EventError::AerDeltaOverflow {
+                index: 1,
+                delta_us: 7_199_000_000,
+            })
         );
     }
 
@@ -225,7 +230,7 @@ mod tests {
             )],
         )
         .unwrap();
-        let back = decode(&encode(&s)).unwrap();
+        let back = decode(&encode(&s).unwrap()).unwrap();
         assert_eq!(back, s, "64-bit base timestamps are exact");
     }
 }

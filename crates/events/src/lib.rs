@@ -86,6 +86,13 @@ pub enum EventError {
         /// Human-readable description of the framing problem.
         reason: String,
     },
+    /// Two consecutive events are too far apart for AER's 31-bit delta.
+    AerDeltaOverflow {
+        /// Index of the event whose gap to its predecessor overflows.
+        index: usize,
+        /// The gap, in microseconds.
+        delta_us: u64,
+    },
 }
 
 impl fmt::Display for EventError {
@@ -101,6 +108,11 @@ impl fmt::Display for EventError {
                 write!(f, "sensor geometry mismatch: {left} vs {right}")
             }
             EventError::MalformedAer { reason } => write!(f, "malformed AER stream: {reason}"),
+            EventError::AerDeltaOverflow { index, delta_us } => write!(
+                f,
+                "AER delta overflow: event {index} is {delta_us} µs after its predecessor \
+                 (max 2^31-1)"
+            ),
         }
     }
 }

@@ -165,7 +165,7 @@ impl Executor {
                         ),
                     );
                 }
-                LayerKind::SpikingConv2d { conv: c, .. } => {
+                LayerKind::SpikingConv2d { conv: c, lif } => {
                     // Higher gain so synthetic spiking layers actually fire.
                     weights.insert(
                         layer.id,
@@ -178,11 +178,7 @@ impl Executor {
                         ),
                     );
                     if let Shape::Chw { c: oc, h, w } = graph.output_shape(layer.id) {
-                        let lif_cfg = match &layer.kind {
-                            LayerKind::SpikingConv2d { lif, .. } => *lif,
-                            _ => unreachable!(),
-                        };
-                        lif_states.insert(layer.id, LifState::new(oc, h, w, lif_cfg));
+                        lif_states.insert(layer.id, LifState::new(oc, h, w, *lif));
                     }
                 }
                 LayerKind::ConvTranspose2d(c) => {
@@ -296,8 +292,13 @@ impl Executor {
             .graph
             .outputs()
             .into_iter()
-            .map(|id| (id, values[id.0].clone().expect("computed above")))
-            .collect();
+            .map(|id| {
+                values[id.0]
+                    .clone()
+                    .map(|v| (id, v))
+                    .ok_or(NnError::UnknownLayer { id })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ForwardResult { outputs, traces })
     }
 
@@ -368,6 +369,9 @@ impl Executor {
                 };
                 let (current, conv_work) =
                     conv2d_sparse(&sparse_in, &lw.weight, None, spec).map_err(wrap)?;
+                // Shape inference gives every spiking conv a [C,H,W]
+                // output, so `Executor::new` inserted a `LifState` for
+                // this layer, and nothing removes one.
                 let lif = self
                     .lif_states
                     .get_mut(&id)

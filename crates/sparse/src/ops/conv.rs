@@ -440,8 +440,8 @@ pub fn conv2d_submanifold(
 }
 
 /// Dense convolution via im2col + GEMM — the lowering dense DNN libraries
-/// use. Numerically identical to [`conv2d_dense`]; exposed so benches can
-/// compare the two dense strategies and so the patch matrix is reusable.
+/// use. Numerically identical to [`conv2d_dense`], which its unit test
+/// checks it against.
 ///
 /// # Errors
 ///

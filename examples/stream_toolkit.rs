@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("crop+down:  {} events ({})", small.len(), small.geometry());
 
     // 4. Persist as binary AER and read back.
-    let bytes = aer::encode(&small);
+    let bytes = aer::encode(&small)?;
     let path = std::env::temp_dir().join("evedge_stream.aer");
     std::fs::write(&path, &bytes)?;
     let restored = aer::decode(&std::fs::read(&path)?)?;
