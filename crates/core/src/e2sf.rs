@@ -11,9 +11,8 @@
 //! Positive and negative polarities accumulate separately per pixel within
 //! each bin (Equation 1), and each accumulated bin becomes one
 //! [`SparseFrame`]. The conversion cost is proportional to the number of
-//! events — the dense-frame path ([`dense_frame_baseline`]) pays for every
-//! pixel instead and is kept for the Figure 1 / encode-overhead
-//! comparisons.
+//! events, where a dense event frame pays for every pixel (a dense
+//! reference in the unit tests pins the two to the same tensor).
 
 use crate::frame::SparseFrame;
 use crate::EvEdgeError;
@@ -21,8 +20,6 @@ use ev_core::event::Event;
 use ev_core::stream::EventSlice;
 use ev_core::TimeWindow;
 use ev_sparse::coo::{SparseEntry, SparseTensor};
-use ev_sparse::dense::Tensor;
-use ev_sparse::encode::{dense_to_sparse, EncodeStats};
 
 /// How a sparse frame encodes the events of a bin (paper §2, Figure 2:
 /// Ev-Edge "supports all of the aforementioned input representations").
@@ -60,13 +57,10 @@ pub struct E2sfConfig {
 }
 
 impl E2sfConfig {
-    /// Creates a polarity-counts configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins_per_interval` is zero.
+    /// Creates a polarity-counts configuration. A zero `nB` is accepted
+    /// here and rejected by every conversion with
+    /// [`EvEdgeError::DegenerateInterval`].
     pub fn new(bins_per_interval: usize) -> Self {
-        assert!(bins_per_interval > 0, "nB must be nonzero");
         E2sfConfig {
             bins_per_interval,
             representation: FrameRepresentation::PolarityCounts,
@@ -88,22 +82,42 @@ impl Default for E2sfConfig {
 
 /// Reusable accumulation state for [`E2sf::convert_with`].
 ///
-/// One flat `[C, H, W]`-indexed value plane plus the list of touched flat
-/// indices, shared by every bin: events are time-sorted, so each bin is a
-/// contiguous run that is accumulated, emitted and cleared before the
-/// next one starts. Accumulating an event is a single indexed add — no
-/// hash maps, no per-event entry records — and after each emit only the
-/// touched slots are cleared, so steady-state streaming conversion
-/// reuses every buffer. Because the flat index `(c*H + y)*W + x` is
-/// monotone in the canonical `(channel, row, col)` key, sorting the
-/// touched indices yields the frame's entries already in canonical order
-/// and the sort/merge pass of [`SparseTensor::from_entries`] is skipped
-/// entirely; the emitted frames are bitwise identical to
-/// [`E2sf::convert`]'s.
+/// One flat `[C, H, W]`-indexed value plane plus a two-level occupancy
+/// bitmap over the same slots, shared by every bin: events are
+/// time-sorted, so each bin is a contiguous run that is accumulated,
+/// emitted and cleared before the next one starts. Accumulating an event
+/// is a single indexed add — no hash maps, no per-event entry records —
+/// and its first touch sets one occupancy bit (rows padded to whole
+/// `u64` words) and one summary bit for that word. Emission walks the
+/// summary bits, then each nonzero word's bits, in ascending word order,
+/// which is the canonical `(channel, row, col)` order, so entries need no
+/// sort and the sort/merge pass of [`SparseTensor::from_entries`] is
+/// skipped. Each word's coordinates come from a per-word table, so no
+/// entry pays a division. The walk clears every bit and value it visits,
+/// so steady-state streaming conversion reuses every buffer and the
+/// emitted frames are bitwise identical to [`E2sf::convert`]'s.
 #[derive(Debug, Clone, Default)]
 pub struct E2sfScratch {
+    /// `(channels, height, width)` the buffers are laid out for.
+    shape: (usize, usize, usize),
     values: Vec<f32>,
-    touched: Vec<u32>,
+    /// One bit per slot; row `c*H + y` owns `words_per_row` words.
+    occupied: Vec<u64>,
+    /// One bit per `occupied` word that has any bit set.
+    summary: Vec<u64>,
+    /// The first slot of each `occupied` word.
+    origins: Vec<WordOrigin>,
+    words_per_row: usize,
+}
+
+/// The coordinates of an occupancy word's bit 0.
+#[derive(Debug, Clone, Copy)]
+struct WordOrigin {
+    channel: u32,
+    row: u32,
+    col: u32,
+    /// Flat `(channel * H + row) * W + col` index into the value plane.
+    slot: u32,
 }
 
 impl E2sfScratch {
@@ -112,10 +126,72 @@ impl E2sfScratch {
         E2sfScratch::default()
     }
 
-    fn ensure(&mut self, slots: usize) {
-        if self.values.len() != slots {
-            self.values = vec![0.0; slots];
+    /// Lays the buffers out for `[channels, h, w]` frames. Any change of
+    /// shape rebuilds them: two geometries with the same slot count still
+    /// differ in row padding and word origins.
+    fn ensure(&mut self, channels: usize, h: usize, w: usize) {
+        if self.shape == (channels, h, w) {
+            return;
         }
+        let words_per_row = w.div_ceil(64);
+        let words = channels * h * words_per_row;
+        let mut origins = Vec::with_capacity(words);
+        for channel in 0..channels {
+            for row in 0..h {
+                for word in 0..words_per_row {
+                    let col = word * 64;
+                    origins.push(WordOrigin {
+                        channel: channel as u32,
+                        row: row as u32,
+                        col: col as u32,
+                        slot: ((channel * h + row) * w + col) as u32,
+                    });
+                }
+            }
+        }
+        *self = E2sfScratch {
+            shape: (channels, h, w),
+            values: vec![0.0; channels * h * w],
+            occupied: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            origins,
+            words_per_row,
+        };
+    }
+
+    /// Records the first touch of slot `(row, x)`, where `row = c*H + y`.
+    #[inline]
+    fn mark(&mut self, row: usize, x: usize) {
+        let word = row * self.words_per_row + (x >> 6);
+        self.occupied[word] |= 1 << (x & 63);
+        self.summary[word >> 6] |= 1 << (word & 63);
+    }
+
+    /// Moves every marked slot out as canonical COO entries, leaving the
+    /// plane and both bitmaps zeroed.
+    fn drain_entries(&mut self, count: usize) -> Vec<SparseEntry> {
+        let mut entries = Vec::with_capacity(count);
+        for (block, summary) in self.summary.iter_mut().enumerate() {
+            let mut words = core::mem::take(summary);
+            while words != 0 {
+                let word = block * 64 + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let origin = self.origins[word];
+                let mut bits = core::mem::take(&mut self.occupied[word]);
+                while bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let value = core::mem::take(&mut self.values[(origin.slot + bit) as usize]);
+                    entries.push(SparseEntry::new(
+                        origin.channel,
+                        origin.row,
+                        origin.col + bit,
+                        value,
+                    ));
+                }
+            }
+        }
+        entries
     }
 }
 
@@ -194,8 +270,8 @@ impl E2sf {
     ) -> Result<Vec<SparseFrame>, EvEdgeError> {
         let nb = self.config.bins_per_interval;
         let total_us = interval.duration().as_micros();
-        // `nb == 0` reaches here through the public fields (or serde),
-        // bypassing `E2sfConfig::new`'s assert.
+        // `nb == 0` reaches here through `E2sfConfig::new(0)`, the public
+        // fields or serde.
         if nb == 0 || total_us < nb as i64 {
             return Err(EvEdgeError::DegenerateInterval { interval, bins: nb });
         }
@@ -207,8 +283,7 @@ impl E2sf {
         let bis = total_us as u64 / nb as u64; // bin duration biS
         let with_timestamps =
             self.config.representation == FrameRepresentation::CountsAndTimestamps;
-        scratch.ensure(channels * plane);
-        let E2sfScratch { values, touched } = scratch;
+        scratch.ensure(channels, h, w);
         // EBk = floor((tk − Tstart) / biS), clamped: the remainder of
         // integer division can push trailing events past the last bin.
         // EBk never decreases along the time-sorted events, so bin k is
@@ -223,19 +298,22 @@ impl E2sf {
             let (run, tail) = rest.split_at(rest.partition_point(|ev| ebk(ev) <= k));
             rest = tail;
             let mut sites = 0usize;
+            let mut touched = 0usize;
             for ev in run {
                 let channel = ev.polarity.channel();
-                let pixel = ev.y as usize * w + ev.x as usize;
+                let (y, x) = (ev.y as usize, ev.x as usize);
+                let pixel = y * w + x;
                 let idx = channel * plane + pixel;
                 // Count channels accumulate; a slot is touched iff nonzero
-                // (counts only grow from 1.0), so the zero test doubles as
-                // touched-list dedup. A first touch opens a new active site
+                // (counts only grow from 1.0), so the zero test finds the
+                // first touch. A first touch opens a new active site
                 // unless the other polarity already holds the pixel.
-                if values[idx] == 0.0 {
-                    touched.push(idx as u32);
-                    sites += usize::from(values[(1 - channel) * plane + pixel] == 0.0);
+                if scratch.values[idx] == 0.0 {
+                    scratch.mark(channel * h + y, x);
+                    touched += 1;
+                    sites += usize::from(scratch.values[(1 - channel) * plane + pixel] == 0.0);
                 }
-                values[idx] += 1.0;
+                scratch.values[idx] += 1.0;
                 if with_timestamps {
                     // Normalized timestamp within the bin, in (0, 1]:
                     // always positive, so the same nonzero-means-touched
@@ -244,30 +322,14 @@ impl E2sf {
                     let frac = (ev.t.saturating_since(window.start()).as_micros() as f64 + 1.0)
                         / window.duration().as_micros().max(1) as f64;
                     let sidx = idx + 2 * plane;
-                    let slot = &mut values[sidx];
-                    if *slot == 0.0 {
-                        touched.push(sidx as u32);
+                    if scratch.values[sidx] == 0.0 {
+                        scratch.mark((channel + 2) * h + y, x);
+                        touched += 1;
                     }
-                    *slot = frac.min(1.0) as f32;
+                    scratch.values[sidx] = frac.min(1.0) as f32;
                 }
             }
-            // Ascending flat index == ascending (channel, row, col), so
-            // the entries come out canonical and the constructor skips
-            // the sort. Only touched slots are cleared for the next bin.
-            touched.sort_unstable();
-            let mut entries = Vec::with_capacity(touched.len());
-            for &idx in touched.iter() {
-                let idx = idx as usize;
-                let value = core::mem::take(&mut values[idx]);
-                let rem = idx % plane;
-                entries.push(SparseEntry::new(
-                    (idx / plane) as u32,
-                    (rem / w) as u32,
-                    (rem % w) as u32,
-                    value,
-                ));
-            }
-            touched.clear();
+            let entries = scratch.drain_entries(touched);
             let tensor = SparseTensor::from_canonical_entries(channels, h, w, entries)?;
             frames.push(SparseFrame::with_active_sites(
                 tensor,
@@ -299,53 +361,49 @@ impl E2sf {
     }
 }
 
-/// A dense event frame plus the measured cost of building it and
-/// (optionally) sparsifying it afterwards — the conventional pipeline E2SF
-/// replaces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DenseFramePath {
-    /// The dense `[2, H, W]` event frame.
-    pub dense: Tensor,
-    /// The sparse tensor obtained by post-hoc encoding.
-    pub sparse: SparseTensor,
-    /// Measured encode cost (the overhead the paper calls prohibitive).
-    pub encode_stats: EncodeStats,
-}
-
-/// Builds one bin the conventional way: accumulate into a dense frame,
-/// then encode to sparse. Its encode statistics quantify the overhead
-/// E2SF avoids, and its output is the reference E2SF is checked against.
-///
-/// # Errors
-///
-/// Propagates tensor construction errors.
-pub fn dense_frame_baseline(
-    events: &EventSlice,
-    window: TimeWindow,
-) -> Result<DenseFramePath, EvEdgeError> {
-    let geometry = events.geometry();
-    let (h, w) = (geometry.height as usize, geometry.width as usize);
-    let mut dense = Tensor::zeros(&[2, h, w]);
-    {
-        let data = dense.as_mut_slice();
-        for ev in events.window(window) {
-            let c = ev.polarity.channel();
-            data[(c * h + ev.y as usize) * w + ev.x as usize] += 1.0;
-        }
-    }
-    let (sparse, encode_stats) = dense_to_sparse(&dense, 0.0)?;
-    Ok(DenseFramePath {
-        dense,
-        sparse,
-        encode_stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ev_core::event::{Event, Polarity, SensorGeometry};
     use ev_core::Timestamp;
+    use ev_sparse::dense::Tensor;
+    use ev_sparse::encode::{dense_to_sparse, EncodeStats};
+
+    /// A dense event frame plus the measured cost of sparsifying it
+    /// afterwards — the conventional pipeline E2SF replaces.
+    struct DenseFramePath {
+        /// The dense `[2, H, W]` event frame.
+        dense: Tensor,
+        /// The sparse tensor obtained by post-hoc encoding.
+        sparse: SparseTensor,
+        /// Measured encode cost (the overhead the paper calls prohibitive).
+        encode_stats: EncodeStats,
+    }
+
+    /// Builds one bin the conventional way: accumulate into a dense frame,
+    /// then encode to sparse. Its output is the reference E2SF is checked
+    /// against.
+    fn dense_frame_baseline(
+        events: &EventSlice,
+        window: TimeWindow,
+    ) -> Result<DenseFramePath, EvEdgeError> {
+        let geometry = events.geometry();
+        let (h, w) = (geometry.height as usize, geometry.width as usize);
+        let mut dense = Tensor::zeros(&[2, h, w]);
+        {
+            let data = dense.as_mut_slice();
+            for ev in events.window(window) {
+                let c = ev.polarity.channel();
+                data[(c * h + ev.y as usize) * w + ev.x as usize] += 1.0;
+            }
+        }
+        let (sparse, encode_stats) = dense_to_sparse(&dense, 0.0)?;
+        Ok(DenseFramePath {
+            dense,
+            sparse,
+            encode_stats,
+        })
+    }
 
     fn ev(x: u16, y: u16, t_us: u64, p: Polarity) -> Event {
         Event::new(x, y, Timestamp::from_micros(t_us), p)
@@ -509,12 +567,8 @@ mod tests {
             e2sf.convert(&events, tiny),
             Err(EvEdgeError::DegenerateInterval { .. })
         ));
-        // Zero bins, set through the public fields that bypass
-        // `E2sfConfig::new`'s assert, is an error too, not a panic.
-        let zero = E2sf::new(E2sfConfig {
-            bins_per_interval: 0,
-            ..E2sfConfig::default()
-        });
+        // Zero bins is an error too, not a panic.
+        let zero = E2sf::new(E2sfConfig::new(0));
         assert!(matches!(
             zero.convert(&events, interval_ms(0, 20)),
             Err(EvEdgeError::DegenerateInterval { bins: 0, .. })

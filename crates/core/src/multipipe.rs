@@ -526,6 +526,25 @@ mod tests {
     }
 
     #[test]
+    fn streaming_zero_bins_is_a_typed_error() {
+        use ev_datasets::mvsec::SequenceId;
+        let p = problem();
+        let candidate = baseline::rr_network(&p);
+        let streams: Vec<StreamTask> = [SequenceId::IndoorFlying1, SequenceId::IndoorFlying2]
+            .into_iter()
+            .map(|id| StreamTask {
+                sequence: id.sequence(),
+                bins_per_interval: 0,
+                dsfa: crate::dsfa::DsfaConfig::default(),
+            })
+            .collect();
+        assert!(matches!(
+            run_multi_task_streams(&p, &candidate, &streams, window_ms(20)),
+            Err(EvEdgeError::DegenerateInterval { bins: 0, .. })
+        ));
+    }
+
+    #[test]
     fn period_validation() {
         let p = problem();
         let candidate = baseline::rr_network(&p);

@@ -459,6 +459,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_bins_is_a_typed_error() {
+        let network = NetworkId::SpikeFlowNet;
+        let mut options = PipelineOptions::for_variant(PipelineVariant::E2sf, network);
+        options.bins_per_interval = Some(0);
+        assert!(matches!(
+            run_single_task(&setup(network), &options),
+            Err(EvEdgeError::DegenerateInterval { bins: 0, .. })
+        ));
+    }
+
+    #[test]
     fn pipeline_executes_jobs() {
         let report = run(NetworkId::SpikeFlowNet, PipelineVariant::DenseAllGpu);
         assert!(report.frames > 0);

@@ -41,6 +41,108 @@ fn make_slice(events: Vec<Event>) -> EventSlice {
         .expect("bounded events")
 }
 
+/// Sensor widths whose rows fill part of one occupancy word, exactly one
+/// word, and several words with a partial last one (346 is DAVIS346).
+const WORD_WIDTHS: [u16; 6] = [1, 63, 64, 65, 130, 346];
+
+/// One event before the geometry is known: whether x sits on a word edge,
+/// the x and y picks, the timestamp (µs) and the polarity bit.
+type EventDraw = (bool, prop::sample::Index, prop::sample::Index, u64, bool);
+
+fn arb_event_draws(max: usize) -> impl Strategy<Value = Vec<EventDraw>> {
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+            0u64..20_000,
+            any::<bool>(),
+        ),
+        0..max,
+    )
+}
+
+/// Places `draws` on a `w`×`h` sensor. An edge draw puts x on 0, 63, 64,
+/// 127, 128 or W−1 (those inside the row); the rest spread over the row.
+fn place_events(draws: &[EventDraw], w: u16, h: u16) -> EventSlice {
+    let edges: Vec<u16> = [0, 63, 64, 127, 128, w - 1]
+        .into_iter()
+        .filter(|&x| x < w)
+        .collect();
+    let events = draws
+        .iter()
+        .map(|&(on_edge, x, y, t, p)| {
+            let x = if on_edge {
+                edges[x.index(edges.len())]
+            } else {
+                x.index(w as usize) as u16
+            };
+            let y = y.index(h as usize) as u16;
+            Event::new(x, y, Timestamp::from_micros(t), Polarity::from_bit(p))
+        })
+        .collect();
+    EventSlice::from_unsorted(SensorGeometry::new(w as u32, h as u32), events)
+        .expect("placed inside the sensor")
+}
+
+fn frame_representation(timestamps: bool) -> FrameRepresentation {
+    if timestamps {
+        FrameRepresentation::CountsAndTimestamps
+    } else {
+        FrameRepresentation::PolarityCounts
+    }
+}
+
+/// The per-event E2SF reference: every in-window event goes to bin
+/// `EBk = min(floor(offset/biS), nB−1)` and each bin is built by
+/// `SparseTensor::from_entries` (counts accumulate, the timestamp surface
+/// keeps the latest event).
+fn reference_frames(
+    slice: &EventSlice,
+    interval: TimeWindow,
+    bins: usize,
+    representation: FrameRepresentation,
+) -> Vec<SparseFrame> {
+    let geometry = slice.geometry();
+    let windows = interval.split(bins);
+    let bis = interval.duration().as_micros() as u64 / bins as u64;
+    let mut counts: Vec<Vec<SparseEntry>> = vec![Vec::new(); bins];
+    let mut latest: Vec<BTreeMap<(u32, u32, u32), f32>> = vec![BTreeMap::new(); bins];
+    let mut events_per_bin = vec![0usize; bins];
+    for ev in slice.window(interval) {
+        let offset = ev.t.saturating_since(interval.start()).as_micros() as u64;
+        let k = ((offset / bis) as usize).min(bins - 1);
+        let c = ev.polarity.channel() as u32;
+        let (y, x) = (ev.y as u32, ev.x as u32);
+        counts[k].push(SparseEntry::new(c, y, x, 1.0));
+        events_per_bin[k] += 1;
+        let bin = windows[k];
+        let frac = (ev.t.saturating_since(bin.start()).as_micros() as f64 + 1.0)
+            / bin.duration().as_micros().max(1) as f64;
+        latest[k].insert((c + 2, y, x), frac.min(1.0) as f32);
+    }
+    (0..bins)
+        .map(|k| {
+            let mut entries = std::mem::take(&mut counts[k]);
+            if representation == FrameRepresentation::CountsAndTimestamps {
+                entries.extend(
+                    latest[k]
+                        .iter()
+                        .map(|(&(c, y, x), &v)| SparseEntry::new(c, y, x, v)),
+                );
+            }
+            let tensor = SparseTensor::from_entries(
+                representation.channels(),
+                geometry.height as usize,
+                geometry.width as usize,
+                entries,
+            )
+            .expect("in bounds");
+            SparseFrame::new(tensor, windows[k], events_per_bin[k])
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -316,6 +418,65 @@ proptest! {
                 span <= bound,
                 "merged span {span} exceeds bound {bound}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Occupancy-word boundaries: on sensors whose rows cover part of a
+    /// `u64` word, exactly one, or several with a partial last one, and
+    /// with x drawn onto the word edges, E2SF still equals the per-event
+    /// reference under both representations, and each frame's carried
+    /// density is bit-equal to a recount.
+    #[test]
+    fn e2sf_matches_reference_across_word_boundaries(
+        draws in arb_event_draws(300),
+        width in 0usize..WORD_WIDTHS.len(),
+        height in 1u16..6,
+        bins in 1usize..8,
+        timestamps in any::<bool>(),
+    ) {
+        let slice = place_events(&draws, WORD_WIDTHS[width], height);
+        let interval = TimeWindow::new(Timestamp::ZERO, Timestamp::from_micros(20_000));
+        let representation = frame_representation(timestamps);
+        let config = E2sfConfig::new(bins).with_representation(representation);
+        let frames = E2sf::new(config)
+            .convert(&slice, interval)
+            .expect("interval long enough");
+        prop_assert_eq!(&frames, &reference_frames(&slice, interval, bins, representation));
+        for frame in &frames {
+            prop_assert_eq!(
+                frame.spatial_density().to_bits(),
+                frame.tensor().spatial_density().to_bits()
+            );
+        }
+    }
+
+    /// One scratch reused across geometries with the same slot count but
+    /// different widths and heights (24×20, 20×24, 48×10), and across
+    /// two- and four-channel representations, yields exactly the frames
+    /// a fresh conversion builds.
+    #[test]
+    fn e2sf_scratch_reuse_across_geometries_matches_fresh(
+        batches in prop::collection::vec(
+            (arb_event_draws(250), 0usize..3, any::<bool>(), 1usize..12),
+            1..6,
+        ),
+    ) {
+        let mut scratch = E2sfScratch::new();
+        let window = TimeWindow::new(Timestamp::ZERO, Timestamp::from_micros(20_000));
+        for (draws, geometry, timestamps, bins) in batches {
+            let (w, h) = [(24, 20), (20, 24), (48, 10)][geometry];
+            let slice = place_events(&draws, w, h);
+            let representation = frame_representation(timestamps);
+            let e2sf = E2sf::new(E2sfConfig::new(bins).with_representation(representation));
+            let fresh = e2sf.convert(&slice, window).expect("interval long enough");
+            let reused = e2sf
+                .convert_with(&slice, window, &mut scratch)
+                .expect("interval long enough");
+            prop_assert_eq!(fresh, reused);
         }
     }
 }
