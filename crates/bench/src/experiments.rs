@@ -877,17 +877,6 @@ pub fn sweep_grid_hetero_spec(quick: bool) -> SweepSpec {
     }
 }
 
-/// Runs the heterogeneous configuration-sweep grid (`0` workers =
-/// machine parallelism). The report is bitwise identical for any worker
-/// count.
-///
-/// # Errors
-///
-/// Propagates sweep errors.
-pub fn sweep_grid_hetero(quick: bool, workers: usize) -> Result<SweepReport, Box<dyn Error>> {
-    Ok(run_sweep(&sweep_grid_hetero_spec(quick), workers)?)
-}
-
 /// Renders a sweep's per-cell results as an aligned text table (shared
 /// by the `fig10_search --grid` and `ext_sweep_grid` binaries).
 pub fn sweep_cells_table(report: &SweepReport) -> crate::report::TextTable {

@@ -76,16 +76,6 @@ impl DvsConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the simulation step.
-    pub fn with_sim_step(mut self, step: TimeDelta) -> Self {
-        assert!(
-            step.as_micros() > 0,
-            "simulation step must be a positive duration"
-        );
-        self.sim_step = step;
-        self
-    }
 }
 
 /// Per-pixel sensor state.

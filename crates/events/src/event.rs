@@ -166,12 +166,6 @@ impl SensorGeometry {
         height: 260,
     };
 
-    /// DAVIS 240C: 240 × 180.
-    pub const DAVIS240C: SensorGeometry = SensorGeometry {
-        width: 240,
-        height: 180,
-    };
-
     /// DVS128 (the original Lichtsteiner et al. sensor): 128 × 128.
     pub const DVS128: SensorGeometry = SensorGeometry {
         width: 128,

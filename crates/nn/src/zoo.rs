@@ -541,8 +541,8 @@ pub fn ev_flownet(cfg: &ZooConfig) -> Result<NetworkGraph, NnError> {
 
 /// CornerNet — the corner-detection/tracking frontend class (after the
 /// memory-efficient event-camera corner detectors, arXiv 2401.09797): a
-/// cheap, high-rate, always-on two-layer ANN that consumes the corner
-/// detector's event surface and emits a per-pixel cornerness map. Its
+/// cheap, high-rate, always-on two-layer ANN that consumes an event
+/// surface and emits a per-pixel cornerness map. Its
 /// channel widths are fixed (not scaled by `base_width`) so the network
 /// stays cheap at every zoo scale.
 pub fn corner_net(cfg: &ZooConfig) -> Result<NetworkGraph, NnError> {

@@ -68,7 +68,11 @@ pub struct ServeConfig {
     pub platform: PlatformPreset,
     /// Zoo scale for tenant task graphs.
     pub zoo: ZooPreset,
-    /// Engine-side bounded inference-queue capacity (§4.2 drop-oldest).
+    /// Inference-queue capacity (§4.2 drop-oldest) of the runtime
+    /// playback that scores each churn-triggered tune sweep, through
+    /// [`ServeConfig::tune_spec_for`]. The service's own engine queue
+    /// never fills: an epoch enqueues only into idle tasks and drains
+    /// one input at a time, so no value here drops admitted work.
     pub queue_capacity: usize,
     /// Per-tenant ingress queue capacity (reject-newest).
     pub ingress_capacity: usize,
@@ -225,7 +229,9 @@ pub struct TenantReport {
     pub shed_ingress_full: u64,
     /// Inferences completed.
     pub completed: u64,
-    /// Admitted inputs dropped by the engine's bounded queue.
+    /// Admitted inputs dropped by the engine's bounded queue. Always 0:
+    /// an epoch enqueues only into idle tasks and drains one input at a
+    /// time, so that queue never overflows.
     pub dropped: u64,
     /// Mean input-to-completion latency over completed inferences, µs.
     pub mean_latency_us: i64,
@@ -255,7 +261,8 @@ pub struct ServeTotals {
     pub shed_ingress_full: u64,
     /// Inferences completed.
     pub completed: u64,
-    /// Admitted inputs dropped by engine queues.
+    /// Admitted inputs dropped by engine queues. Always 0, as for
+    /// [`TenantReport::dropped`].
     pub dropped: u64,
     /// Auto-tune searches run (including the initial one).
     pub tunes: u64,

@@ -98,6 +98,12 @@ proptest! {
         let fanned_json = serde_json::to_string_pretty(&fanned.report)
             .expect("serialize fanned");
         prop_assert_eq!(serial_json.as_bytes(), fanned_json.as_bytes());
+        // The engine queue never drops: an epoch enqueues only into idle
+        // tasks and drains one input at a time.
+        prop_assert_eq!(serial.report.totals.dropped, 0);
+        for tenant in &serial.report.tenants {
+            prop_assert_eq!(tenant.dropped, 0, "tenant {}", tenant.name);
+        }
         // And the report round-trips losslessly.
         let back: ev_serve::ServeReport =
             serde_json::from_str(&serial_json).expect("deserialize");

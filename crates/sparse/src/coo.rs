@@ -353,40 +353,12 @@ impl SparseTensor {
     /// Materializes the dense `[C, H, W]` tensor.
     pub fn to_dense(&self) -> Tensor {
         let mut dense = Tensor::zeros(&[self.channels, self.height, self.width]);
-        self.scatter_into(&mut dense);
-        dense
-    }
-
-    /// Materializes into a caller-owned dense tensor, avoiding the
-    /// allocation of [`SparseTensor::to_dense`] on repeated decodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::TensorShapeMismatch`] unless `dense` has
-    /// exactly this tensor's `[C, H, W]` shape.
-    pub fn to_dense_into(&self, dense: &mut Tensor) -> Result<(), SparseError> {
-        if dense.shape() != self.shape().as_slice() {
-            let mut right = [0usize; 3];
-            for (slot, dim) in right.iter_mut().zip(dense.shape()) {
-                *slot = *dim;
-            }
-            return Err(SparseError::TensorShapeMismatch {
-                left: self.shape(),
-                right,
-            });
-        }
-        dense.as_mut_slice().fill(0.0);
-        self.scatter_into(dense);
-        Ok(())
-    }
-
-    fn scatter_into(&self, dense: &mut Tensor) {
-        let w = self.width;
-        let h = self.height;
+        let (h, w) = (self.height, self.width);
         let data = dense.as_mut_slice();
         for e in &self.entries {
             data[(e.channel as usize * h + e.row as usize) * w + e.col as usize] = e.value;
         }
+        dense
     }
 
     /// Pointwise sum of two sparse tensors (the DSFA `cAdd` merge kernel).

@@ -100,13 +100,6 @@ pub enum SparseError {
         /// Padding.
         padding: usize,
     },
-    /// Submanifold convolution requires odd kernel sizes.
-    EvenSubmanifoldKernel {
-        /// Kernel height.
-        kh: usize,
-        /// Kernel width.
-        kw: usize,
-    },
     /// An operation over a collection received no elements.
     EmptyInput,
     /// Entries handed to a canonical-order constructor were not strictly
@@ -140,12 +133,6 @@ impl fmt::Display for SparseError {
                 f,
                 "kernel {kernel} does not fit input {input} with padding {padding}"
             ),
-            SparseError::EvenSubmanifoldKernel { kh, kw } => {
-                write!(
-                    f,
-                    "submanifold convolution requires odd kernels, got {kh}x{kw}"
-                )
-            }
             SparseError::EmptyInput => f.write_str("operation requires at least one input"),
             SparseError::EntriesNotCanonical { index } => {
                 write!(

@@ -1,19 +1,15 @@
-//! 2-D convolution kernels: dense, sparse-scatter, and submanifold.
+//! 2-D convolution kernels: dense and sparse-scatter.
 //!
-//! Three implementations of the same layer:
+//! Two implementations of the same layer:
 //!
 //! * [`conv2d_dense`] — the baseline: work is independent of input content.
 //! * [`conv2d_sparse`] — gather/scatter over COO nonzeros: work proportional
 //!   to the number of events (the benefit E2SF unlocks, paper §4.1).
-//! * [`conv2d_submanifold`] — outputs only at active input sites (Graham et
-//!   al., the sparse library `[6]` the paper cites), preserving sparsity
-//!   through stacked layers.
 
-use crate::coo::{SparseEntry, SparseTensor};
+use crate::coo::SparseTensor;
 use crate::dense::Tensor;
 use crate::opcount::{OpCount, WorkComparison};
 use crate::SparseError;
-use std::collections::HashMap;
 
 /// Stride and zero-padding of a convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -350,192 +346,6 @@ pub fn conv2d_sparse(
     ))
 }
 
-/// Submanifold sparse convolution: a stride-1 "same" convolution whose
-/// outputs exist only at the input's active spatial sites, so sparsity is
-/// preserved through stacked layers.
-///
-/// # Errors
-///
-/// Returns a [`SparseError`] on rank/shape mismatches; the kernel must be
-/// odd-sized (required for a centred "same" convolution), otherwise
-/// [`SparseError::EvenSubmanifoldKernel`] is returned.
-pub fn conv2d_submanifold(
-    input: &SparseTensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-) -> Result<(SparseTensor, WorkComparison), SparseError> {
-    if weight.rank() != 4 {
-        return Err(SparseError::RankMismatch {
-            expected: 4,
-            actual: weight.rank(),
-        });
-    }
-    let kh = weight.shape()[2];
-    let kw = weight.shape()[3];
-    if kh.is_multiple_of(2) || kw.is_multiple_of(2) {
-        return Err(SparseError::EvenSubmanifoldKernel { kh, kw });
-    }
-    let spec = Conv2dSpec {
-        stride: 1,
-        padding: kh / 2,
-    };
-    let (c_in, h, w, c_out, kh, kw, _ho, _wo) = validate(input.shape(), weight, bias, spec)?;
-
-    // Index nonzeros per (ci, y, x) for O(1) gathers.
-    let mut lookup: HashMap<(u32, u32, u32), f32> = HashMap::with_capacity(input.nnz());
-    for e in input.iter() {
-        lookup.insert((e.channel, e.row, e.col), e.value);
-    }
-    let sites = input.active_sites();
-    let wt = weight.as_slice();
-    let mut entries = Vec::with_capacity(sites.len() * c_out);
-    let mut macs = 0u64;
-    for &(sy, sx) in &sites {
-        for co in 0..c_out {
-            let mut acc = bias.map(|b| b[co]).unwrap_or(0.0);
-            for ci in 0..c_in {
-                for ky in 0..kh {
-                    let iy = sy as i64 + ky as i64 - (kh / 2) as i64;
-                    if iy < 0 || iy >= h as i64 {
-                        continue;
-                    }
-                    for kx in 0..kw {
-                        let ix = sx as i64 + kx as i64 - (kw / 2) as i64;
-                        if ix < 0 || ix >= w as i64 {
-                            continue;
-                        }
-                        if let Some(v) = lookup.get(&(ci as u32, iy as u32, ix as u32)) {
-                            let wv = wt[((co * c_in + ci) * kh + ky) * kw + kx];
-                            acc += v * wv;
-                            macs += 1;
-                        }
-                    }
-                }
-            }
-            if acc != 0.0 {
-                entries.push(SparseEntry::new(co as u32, sy, sx, acc));
-            }
-        }
-    }
-    let out = SparseTensor::from_entries(c_out, h, w, entries)?;
-    let actual = OpCount {
-        macs,
-        adds: 0,
-        bytes_read: input.storage_bytes() + (weight.len() * 4) as u64,
-        bytes_written: out.storage_bytes(),
-    };
-    let dense_equivalent = OpCount {
-        macs: dense_conv_macs(c_in, c_out, kh, kw, h, w),
-        adds: 0,
-        bytes_read: ((c_in * h * w + weight.len()) * 4) as u64,
-        bytes_written: (c_out * h * w * 4) as u64,
-    };
-    Ok((
-        out,
-        WorkComparison {
-            actual,
-            dense_equivalent,
-        },
-    ))
-}
-
-/// Dense convolution via im2col + GEMM — the lowering dense DNN libraries
-/// use. Numerically identical to [`conv2d_dense`], which its unit test
-/// checks it against.
-///
-/// # Errors
-///
-/// Returns a [`SparseError`] on rank/shape mismatches or when the kernel
-/// does not fit the padded input.
-pub fn conv2d_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    spec: Conv2dSpec,
-) -> Result<(Tensor, OpCount), SparseError> {
-    if input.rank() != 3 {
-        return Err(SparseError::RankMismatch {
-            expected: 3,
-            actual: input.rank(),
-        });
-    }
-    let in_shape = [input.shape()[0], input.shape()[1], input.shape()[2]];
-    let (c_in, h, w, c_out, kh, kw, ho, wo) = validate(in_shape, weight, bias, spec)?;
-
-    // Patch matrix: rows = C_in*kh*kw, cols = Ho*Wo.
-    let k = c_in * kh * kw;
-    let n = ho * wo;
-    let mut patches = Tensor::zeros(&[k, n]);
-    {
-        // Same hoisted-range trick as `conv2d_dense`: the padding tests
-        // collapse into per-tap `[lo, hi)` spans, and each patch row is a
-        // straight memcpy (stride 1) or strided gather of the input row.
-        let x = input.as_slice();
-        let p = patches.as_mut_slice();
-        let stride = spec.stride;
-        let pad = spec.padding;
-        let valid_range = |k: usize, in_dim: usize, out_dim: usize| -> (usize, usize) {
-            let lo = pad.saturating_sub(k).div_ceil(stride);
-            let hi = if in_dim + pad > k {
-                ((in_dim + pad - k - 1) / stride + 1).min(out_dim)
-            } else {
-                0
-            };
-            (lo, hi)
-        };
-        for ci in 0..c_in {
-            let xchan = &x[ci * h * w..(ci + 1) * h * w];
-            for ky in 0..kh {
-                let (oy_lo, oy_hi) = valid_range(ky, h, ho);
-                for kx in 0..kw {
-                    let (ox_lo, ox_hi) = valid_range(kx, w, wo);
-                    if oy_lo >= oy_hi || ox_lo >= ox_hi {
-                        continue;
-                    }
-                    let row = (ci * kh + ky) * kw + kx;
-                    for oy in oy_lo..oy_hi {
-                        let iy = oy * stride + ky - pad;
-                        let ix0 = ox_lo * stride + kx - pad;
-                        let prow = &mut p[row * n + oy * wo + ox_lo..row * n + oy * wo + ox_hi];
-                        let xrow = &xchan[iy * w + ix0..];
-                        if stride == 1 {
-                            prow.copy_from_slice(&xrow[..prow.len()]);
-                        } else {
-                            for (pv, xv) in prow.iter_mut().zip(xrow.iter().step_by(stride)) {
-                                *pv = *xv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Weight as [C_out, k] × patches [k, n] → [C_out, n].
-    let mut wmat = Tensor::from_vec(&[c_out, k], weight.as_slice().to_vec())?;
-    let _ = &mut wmat; // shape-only reinterpretation of the same data
-    let (mut out_mat, mm_ops) = crate::ops::linear::matmul(&wmat, &patches)?;
-    if let Some(b) = bias {
-        let data = out_mat.as_mut_slice();
-        for co in 0..c_out {
-            for v in &mut data[co * n..(co + 1) * n] {
-                *v += b[co];
-            }
-        }
-    }
-    out_mat.reshape(&[c_out, ho, wo])?;
-    let ops = OpCount {
-        macs: mm_ops.macs,
-        adds: if bias.is_some() {
-            (c_out * n) as u64
-        } else {
-            0
-        },
-        bytes_read: mm_ops.bytes_read + (input.len() * 4) as u64,
-        bytes_written: mm_ops.bytes_written,
-    };
-    Ok((out_mat, ops))
-}
-
 /// Transposed ("deconvolution") 2-D convolution over a `[C, H, W]` input.
 ///
 /// The decoder upsampling layer of the encoder-decoder networks in the model
@@ -653,15 +463,7 @@ pub fn conv_transpose2d_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn weight_identity3(c: usize) -> Tensor {
-        // 3x3 kernels that pass each channel through unchanged (centre = 1).
-        let mut w = Tensor::zeros(&[c, c, 3, 3]);
-        for ch in 0..c {
-            w.set(&[ch, ch, 1, 1], 1.0);
-        }
-        w
-    }
+    use crate::coo::SparseEntry;
 
     #[test]
     fn out_dim_math() {
@@ -760,83 +562,6 @@ mod tests {
         let (_, w2) = conv2d_sparse(&many, &weight, None, Conv2dSpec::same(3)).unwrap();
         assert!(w2.actual.macs > 10 * w1.actual.macs);
         assert_eq!(w1.dense_equivalent.macs, w2.dense_equivalent.macs);
-    }
-
-    #[test]
-    fn submanifold_preserves_active_sites() {
-        let input = SparseTensor::from_entries(
-            1,
-            8,
-            8,
-            vec![
-                SparseEntry::new(0, 2, 2, 1.0),
-                SparseEntry::new(0, 2, 3, -1.0),
-                SparseEntry::new(0, 6, 6, 2.0),
-            ],
-        )
-        .unwrap();
-        let weight = weight_identity3(1);
-        let (out, work) = conv2d_submanifold(&input, &weight, None).unwrap();
-        // Identity kernel: output equals input at the same sites.
-        assert_eq!(out.active_sites(), input.active_sites());
-        assert_eq!(out.get(0, 2, 2), 1.0);
-        assert_eq!(out.get(0, 6, 6), 2.0);
-        assert!(work.actual.macs < work.dense_equivalent.macs);
-    }
-
-    #[test]
-    fn submanifold_matches_dense_at_active_sites() {
-        let mut dense_in = Tensor::zeros(&[2, 6, 6]);
-        dense_in.set(&[0, 1, 1], 1.0);
-        dense_in.set(&[1, 1, 2], 2.0);
-        dense_in.set(&[0, 4, 4], -1.0);
-        let sparse_in = SparseTensor::from_dense(&dense_in, 0.0).unwrap();
-        let mut weight = Tensor::zeros(&[3, 2, 3, 3]);
-        weight.fill_pseudorandom(11, 1.0);
-        let (dense_out, _) = conv2d_dense(&dense_in, &weight, None, Conv2dSpec::same(3)).unwrap();
-        let (sub_out, _) = conv2d_submanifold(&sparse_in, &weight, None).unwrap();
-        for &(y, x) in &sparse_in.active_sites() {
-            for co in 0..3u32 {
-                let d = dense_out.get(&[co as usize, y as usize, x as usize]);
-                let s = sub_out.get(co, y, x);
-                assert!((d - s).abs() < 1e-4, "site ({y},{x}) ch {co}: {d} vs {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn submanifold_rejects_even_kernel() {
-        let input = SparseTensor::empty(1, 4, 4);
-        let weight = Tensor::zeros(&[1, 1, 2, 2]);
-        assert!(matches!(
-            conv2d_submanifold(&input, &weight, None),
-            Err(SparseError::EvenSubmanifoldKernel { .. })
-        ));
-    }
-
-    #[test]
-    fn im2col_matches_direct_dense() {
-        let mut input = Tensor::zeros(&[3, 7, 9]);
-        input.fill_pseudorandom(21, 1.0);
-        let mut weight = Tensor::zeros(&[4, 3, 3, 3]);
-        weight.fill_pseudorandom(22, 0.5);
-        let bias = [0.1f32, -0.2, 0.3, 0.0];
-        for spec in [
-            Conv2dSpec::default(),
-            Conv2dSpec::same(3),
-            Conv2dSpec {
-                stride: 2,
-                padding: 1,
-            },
-        ] {
-            let (direct, d_ops) = conv2d_dense(&input, &weight, Some(&bias), spec).unwrap();
-            let (gemm, g_ops) = conv2d_im2col(&input, &weight, Some(&bias), spec).unwrap();
-            assert_eq!(direct.shape(), gemm.shape());
-            for (a, b) in direct.as_slice().iter().zip(gemm.as_slice()) {
-                assert!((a - b).abs() < 1e-4, "{a} vs {b} for {spec:?}");
-            }
-            assert_eq!(d_ops.macs, g_ops.macs, "same arithmetic for {spec:?}");
-        }
     }
 
     #[test]
